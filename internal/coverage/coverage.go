@@ -333,6 +333,11 @@ type EngineStats struct {
 	// contention: if its share of Elapsed grows with the worker count,
 	// the serialized sink is the scaling bottleneck.
 	KernelTime, SinkWait, SourceWait []time.Duration
+	// CollapseTime is the stage's time spent collapsing faults into
+	// representatives and expanding their verdicts back, summed over
+	// workers — the layer between the source-wait and kernel timers
+	// (telemetry registry attached and collapsing on; zero otherwise).
+	CollapseTime time.Duration
 	// Sink labels the streaming sink discipline the stage ran under —
 	// "ordered" (serialized ChunkSink) or "unordered" (per-worker
 	// sinks merged at drain); empty for materialized stages.

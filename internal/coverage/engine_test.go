@@ -9,6 +9,7 @@ import (
 	"repro/internal/march"
 	"repro/internal/prt"
 	"repro/internal/ram"
+	"repro/internal/sim"
 )
 
 // The engine-equivalence property: for every replay-safe runner and
@@ -156,3 +157,65 @@ type opaqueRunner struct{ inner Runner }
 
 func (o opaqueRunner) Name() string                    { return o.inner.Name() + "/opaque" }
 func (o opaqueRunner) Run(m ram.Memory) (bool, uint64) { return o.inner.Run(m) }
+
+// notedFault is a fault type outside the collapser's built-in models,
+// and not comparable: the slice beside the embedded model (which
+// supplies the oracle and batch behaviour) made a map-keyed collapser
+// panic with "hash of unhashable type".
+type notedFault struct {
+	fault.BatchInjector
+	notes []string
+}
+
+// TestCollapseUnknownFaultType: a universe mixing built-in faults with
+// unhashable foreign ones — twins included — collapses without
+// panicking, and every per-fault verdict, materialized and streaming,
+// is byte-identical with collapsing on and off.
+func TestCollapseUnknownFaultType(t *testing.T) {
+	const n, m = 16, 4
+	base := fault.StandardUniverse(n, m, 12, 42).Faults
+	var faults []fault.Fault
+	for i, f := range base {
+		if i%2 == 0 {
+			faults = append(faults, f)
+			continue
+		}
+		nf := notedFault{BatchInjector: f.(fault.BatchInjector), notes: []string{f.String()}}
+		faults = append(faults, nf)
+		if i%7 == 0 {
+			faults = append(faults, nf) // twin
+		}
+	}
+	u := fault.Universe{Name: "noted", Faults: faults}
+	gen := prt.PaperWOMConfig().Gen
+	runners := []Runner{
+		MarchRunner(march.MarchCMinus(), march.DataBackgrounds(m)),
+		PRTRunner(prt.StandardScheme3(gen)),
+	}
+	run := func(stream, collapse bool) *Session {
+		SetCollapse(collapse)
+		defer SetCollapse(true)
+		p := Plan{
+			Runners: runners, Memory: womFactory(n, m), Workers: 2,
+			Engine: EngineCompiled, KeepVectors: true, Cache: sim.NewProgramCache(),
+		}
+		if stream {
+			p.Stream = &fault.Stream{Name: u.Name, Source: fault.SliceSource(faults)}
+			p.Chunk = 100
+		} else {
+			p.Universe = u
+		}
+		s := p.Run()
+		for i := range s.Results {
+			s.Results[i].Stats = nil
+		}
+		s.Stages = nil
+		return s
+	}
+	for _, stream := range []bool{false, true} {
+		on, off := run(stream, true), run(stream, false)
+		if !reflect.DeepEqual(on, off) {
+			t.Errorf("stream=%v: collapsed session differs from uncollapsed\non:  %+v\noff: %+v", stream, on.Results, off.Results)
+		}
+	}
+}

@@ -293,6 +293,7 @@ func (p *Plan) RunContext(ctx context.Context) *Session {
 	cum := make([]bool, nFaults)
 	cumDetected := 0
 	arenas := &sim.ArenaPool{}
+	var scratch collapseScratch
 	reg := telemetry.Active()
 	// Cross-test dropping bookkeeping: one bit per universe fault (set
 	// while undetected), exposed to later stages as a fault.BitView —
@@ -310,7 +311,7 @@ func (p *Plan) RunContext(ctx context.Context) *Session {
 			reg.BeginStage(st.runner.Name(), int64(view.Len()))
 		}
 		t0 := time.Now() //faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
-		det, stats, err := p.detect(ctx, st, view, workers, arenas)
+		det, stats, err := p.detect(ctx, st, view, workers, arenas, &scratch)
 		//faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
 		finishStage(stats, st, view.Len(), time.Since(t0), reg, before)
 		res := Result{
@@ -472,6 +473,7 @@ func finishStage(stats *EngineStats, st *stage, presented int, elapsed time.Dura
 	}
 	d := reg.Snapshot().Sub(before)
 	stats.ArenaReuse, stats.ArenaFresh = d.ArenaReuse, d.ArenaFresh
+	stats.CollapseTime = d.Collapse
 	n := len(d.Workers)
 	if stats.Workers < n {
 		n = stats.Workers
@@ -615,30 +617,54 @@ func runClean(r Runner, mk MemoryFactory) (falsePositive bool, ops uint64) {
 // verdicts plus the engine report.  The error is non-nil exactly when
 // ctx was cancelled (the verdicts then cover only the batches that
 // ran); any other driver failure panics, as a broken engine invariant.
-func (p *Plan) detect(ctx context.Context, st *stage, view fault.View, workers int, arenas *sim.ArenaPool) ([]bool, *EngineStats, error) {
+//
+// With collapsing on, the returned verdicts live in scratch.det and are
+// valid until the next detect call on the same scratch.
+func (p *Plan) detect(ctx context.Context, st *stage, view fault.View, workers int, arenas *sim.ArenaPool, scratch *collapseScratch) ([]bool, *EngineStats, error) {
 	switch {
 	case st.prog != nil:
 		v := view
 		var col fault.Collapsed
 		collapsed := CollapseEnabled()
+		reg := telemetry.Active()
+		var credit telemetry.Local
+		var t0 time.Time
 		if collapsed {
+			if reg != nil {
+				t0 = time.Now() //faultsim:ordered collapse timing is telemetry only
+			}
 			sum := st.prog.Summary()
-			col = fault.CollapseView(view, &sum)
+			col = scratch.collapser.CollapseView(view, &sum)
 			v = fault.Span(col.Reps)
+			if reg != nil {
+				credit.CollapseNanos = uint64(time.Since(t0)) //faultsim:ordered collapse timing is telemetry only
+			}
 		}
 		d, w, err := sim.ShardsCompiledView(ctx, st.prog, v, workers, arenas)
 		if err != nil && ctx.Err() == nil {
 			panic(fmt.Sprintf("coverage: compiled replay of %s on %s: %v", st.runner.Name(), p.Universe.Name, err))
 		}
 		if collapsed {
-			d = col.Expand(d)
-			// The shard driver counted the representatives it simulated;
-			// credit the expanded remainder so the registry's presented-
-			// fault total (and the progress Done count) stays exact.
-			// Skipped on cancellation: the stage did not finish, so the
-			// progress total is not owed.
-			if reg := telemetry.Active(); reg != nil && err == nil && view.Len() > v.Len() {
-				reg.Flush(reg.Worker(0), &telemetry.Local{Faults: uint64(view.Len() - v.Len())})
+			if reg != nil {
+				t0 = time.Now() //faultsim:ordered collapse timing is telemetry only
+			}
+			if cap(scratch.det) < view.Len() {
+				scratch.det = make([]bool, view.Len())
+			}
+			expanded := scratch.det[:view.Len()]
+			col.ExpandInto(expanded, d)
+			d = expanded
+			if reg != nil {
+				credit.CollapseNanos += uint64(time.Since(t0)) //faultsim:ordered collapse timing is telemetry only
+				// The shard driver counted the representatives it
+				// simulated; credit the expanded remainder so the
+				// registry's presented-fault total (and the progress Done
+				// count) stays exact.  Skipped on cancellation: the stage
+				// did not finish, so the progress total is not owed.
+				if err == nil {
+					credit.Faults = uint64(view.Len() - v.Len())
+				}
+				reg.Flush(reg.Worker(0), &credit)
 			}
 		}
 		return d, &EngineStats{
@@ -660,6 +686,14 @@ func (p *Plan) detect(ctx context.Context, st *stage, view fault.View, workers i
 		d, w, err := oracleDetectView(ctx, st.runner, view, p.Memory, workers)
 		return d, &EngineStats{Engine: EngineOracle, Workers: w, Reps: view.Len()}, err
 	}
+}
+
+// collapseScratch is the materialized executor's collapse state, reused
+// by every stage of a session: the collapser's index table and the
+// expanded-verdict buffer are sized by the first collapsed stage.
+type collapseScratch struct {
+	collapser fault.Collapser
+	det       []bool
 }
 
 // oracleDetectView is the reference path over a view: one full

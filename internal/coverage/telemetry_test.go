@@ -78,6 +78,9 @@ func TestSessionTelemetryDetail(t *testing.T) {
 		if st.Stats.CacheMisses != 1 {
 			t.Errorf("%s: cold-cache stage CacheMisses = %d", st.Runner, st.Stats.CacheMisses)
 		}
+		if st.Stats.CollapseTime <= 0 {
+			t.Errorf("%s: CollapseTime = %v with collapsing on", st.Runner, st.Stats.CollapseTime)
+		}
 	}
 	if len(reports) != len(s.Stages) {
 		t.Fatalf("stage reports = %d, want %d", len(reports), len(s.Stages))
@@ -132,6 +135,12 @@ func TestStreamTelemetryDetail(t *testing.T) {
 		if sh < 0 || sh > 1 {
 			t.Errorf("worker %d sink-wait share = %v", i, sh)
 		}
+	}
+	if res.Stats.CollapseTime <= 0 {
+		t.Errorf("streaming CollapseTime = %v with collapsing on", res.Stats.CollapseTime)
+	}
+	if reg.Snapshot().Metrics()["collapse_seconds"] <= 0 {
+		t.Error("/metrics collapse_seconds is zero after a collapsed stage")
 	}
 	if len(reports) != 1 || reports[0].Universe != "cf-exhaustive" {
 		t.Fatalf("stage reports: %+v", reports)

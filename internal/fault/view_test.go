@@ -76,7 +76,9 @@ func TestCollapseViewMatchesCollapseOnSubset(t *testing.T) {
 	for i := range rep {
 		rep[i] = i%2 == 0
 	}
-	a, b := got.Expand(rep), want.Expand(rep)
+	a, b := make([]bool, len(got.Map)), make([]bool, len(want.Map))
+	got.ExpandInto(a, rep)
+	want.ExpandInto(b, rep)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("expanded %d differs", i)

@@ -99,11 +99,12 @@
 // Each worker owns one reusable chunk buffer plus its arena; chunks
 // are claimed under a source mutex, optionally filtered against a
 // dropped-fault bitmap (fault.BitSet — the session layer's cross-test
-// dropping), structurally collapsed chunk-locally (representatives
-// and their expansion never outlive the chunk), replayed as 64-machine
-// batches, and the verdicts delivered to a serialized per-chunk sink
-// keyed by universe index — so order-insensitive sinks (tallies,
-// bitmaps) observe deterministic results whatever the chunk
+// dropping), structurally collapsed chunk-locally by the worker's
+// reused fault.Collapser (representatives and their expansion never
+// outlive the chunk; steady-state chunks allocate nothing), replayed
+// as 64-machine batches, and the verdicts delivered to a serialized
+// per-chunk sink keyed by universe index — so order-insensitive sinks
+// (tallies, bitmaps) observe deterministic results whatever the chunk
 // scheduling, and order-sensitive ones (the checkpoint layer's
 // contiguous-cut tracker) can reorder on the delivered [base, base+n)
 // keys.  StreamShard exposes the same loop over a caller-supplied

@@ -32,7 +32,7 @@ import (
 
 // DefaultChunk is the fault count pulled per chunk when the caller
 // passes chunk <= 0: large enough to amortize the per-chunk costs
-// (source lock, collapse map, sink call) over thousands of batches,
+// (source lock, collapse pass, sink call) over thousands of batches,
 // small enough that a worker's resident faults stay ~100s of KB.
 const DefaultChunk = 8192
 
@@ -227,6 +227,10 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 			if reg != nil {
 				tw = reg.Worker(w)
 			}
+			// One collapser per worker: its index table and result
+			// buffers are sized by the first chunk and reused for every
+			// later one.
+			var collapser fault.Collapser
 			for !stop.Load() {
 				// Cooperative cancellation, checked once per chunk claim: an
 				// in-flight chunk is abandoned before its sink delivery, so
@@ -270,9 +274,16 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 				// the chunk leaves the worker — nothing outlives the chunk.
 				r := faults
 				var col fault.Collapsed
-				if sum != nil && len(faults) > 0 {
-					col = fault.Collapse(faults, sum)
+				collapsed := sum != nil && len(faults) > 0
+				if collapsed {
+					if tw != nil {
+						t0 = time.Now()
+					}
+					col = collapser.Collapse(faults, sum)
 					r = col.Reps
+					if tw != nil {
+						tl.CollapseNanos += uint64(time.Since(t0))
+					}
 				}
 				reps.Add(int64(len(r)))
 				rd := repDet[:len(r)]
@@ -316,8 +327,14 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 					return
 				}
 				d := det[:len(faults)]
-				if sum != nil && len(faults) > 0 {
+				if collapsed {
+					if tw != nil {
+						t0 = time.Now()
+					}
 					col.ExpandInto(d, rd)
+					if tw != nil {
+						tl.CollapseNanos += uint64(time.Since(t0))
+					}
 				} else {
 					copy(d, rd)
 				}

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Per-worker counter indices.  The set is sized so one Worker slot is
-// exactly one cache line of atomics (8 × 8 bytes) plus a line of
-// padding.
+// Per-worker counter indices.  One Worker slot is the counters' atomics
+// plus a cache line of padding, so neighbouring slots never share a
+// line.
 const (
 	ctrFaults     = iota // verdicts delivered (presented faults)
 	ctrReps              // faults actually simulated (post-collapse)
@@ -18,6 +18,7 @@ const (
 	ctrSinkWait          // nanoseconds waiting to acquire the serialized sink
 	ctrSink              // nanoseconds inside the sink callback
 	ctrSourceWait        // nanoseconds claiming chunks from the source
+	ctrCollapse          // nanoseconds collapsing faults and expanding verdicts
 	numCounters
 )
 
@@ -42,6 +43,7 @@ const (
 type Local struct {
 	Faults, Reps, Batches, Chunks                          uint64
 	KernelNanos, SinkWaitNanos, SinkNanos, SourceWaitNanos uint64
+	CollapseNanos                                          uint64
 }
 
 // Worker is one worker's flush target: a cache-line-padded block of
@@ -181,6 +183,7 @@ func (r *Registry) Flush(w *Worker, l *Local) {
 	add(ctrSinkWait, l.SinkWaitNanos)
 	add(ctrSink, l.SinkNanos)
 	add(ctrSourceWait, l.SourceWaitNanos)
+	add(ctrCollapse, l.CollapseNanos)
 	*l = Local{}
 	r.noteFlush()
 }
@@ -259,6 +262,7 @@ func (r *Registry) ReportSurvivors(n int64) {
 type WorkerSnapshot struct {
 	Faults, Reps, Batches, Chunks      uint64
 	Kernel, SinkWait, Sink, SourceWait time.Duration
+	Collapse                           time.Duration
 }
 
 // Snapshot is one aggregated view of a registry: per-worker rows plus
@@ -267,6 +271,7 @@ type WorkerSnapshot struct {
 type Snapshot struct {
 	Faults, Reps, Batches, Chunks      uint64
 	Kernel, SinkWait, Sink, SourceWait time.Duration
+	Collapse                           time.Duration
 	Workers                            []WorkerSnapshot
 
 	CacheHits, CacheMisses  uint64
@@ -296,6 +301,7 @@ func (r *Registry) Snapshot() Snapshot {
 			SinkWait:   time.Duration(w.vals[ctrSinkWait].Load()),
 			Sink:       time.Duration(w.vals[ctrSink].Load()),
 			SourceWait: time.Duration(w.vals[ctrSourceWait].Load()),
+			Collapse:   time.Duration(w.vals[ctrCollapse].Load()),
 		}
 		s.Workers[i] = ws
 		s.Faults += ws.Faults
@@ -306,6 +312,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.SinkWait += ws.SinkWait
 		s.Sink += ws.Sink
 		s.SourceWait += ws.SourceWait
+		s.Collapse += ws.Collapse
 	}
 	s.CacheHits = r.globals[gCacheHits].Load()
 	s.CacheMisses = r.globals[gCacheMisses].Load()
@@ -330,6 +337,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		SinkWait:    s.SinkWait - prev.SinkWait,
 		Sink:        s.Sink - prev.Sink,
 		SourceWait:  s.SourceWait - prev.SourceWait,
+		Collapse:    s.Collapse - prev.Collapse,
 		CacheHits:   s.CacheHits - prev.CacheHits,
 		CacheMisses: s.CacheMisses - prev.CacheMisses,
 		ArenaReuse:  s.ArenaReuse - prev.ArenaReuse,
@@ -352,6 +360,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 			w.SinkWait -= p.SinkWait
 			w.Sink -= p.Sink
 			w.SourceWait -= p.SourceWait
+			w.Collapse -= p.Collapse
 		}
 		d.Workers[i] = w
 	}
@@ -380,6 +389,7 @@ func (s Snapshot) Metrics() map[string]float64 {
 		"sink_wait_seconds":    s.SinkWait.Seconds(),
 		"sink_seconds":         s.Sink.Seconds(),
 		"source_wait_seconds":  s.SourceWait.Seconds(),
+		"collapse_seconds":     s.Collapse.Seconds(),
 		"program_cache_hits":   float64(s.CacheHits),
 		"program_cache_misses": float64(s.CacheMisses),
 		"arena_reuse":          float64(s.ArenaReuse),

@@ -13,7 +13,7 @@ func TestSnapshotAggregation(t *testing.T) {
 	w0, w1 := r.Worker(0), r.Worker(1)
 	r.Flush(w0, &Local{Faults: 10, Reps: 8, Batches: 1, KernelNanos: 1000})
 	r.Flush(w0, &Local{Faults: 5, Chunks: 1, SinkWaitNanos: 200, SinkNanos: 300})
-	r.Flush(w1, &Local{Faults: 7, Reps: 7, SourceWaitNanos: 400})
+	r.Flush(w1, &Local{Faults: 7, Reps: 7, SourceWaitNanos: 400, CollapseNanos: 500})
 	r.CacheLookup(true)
 	r.CacheLookup(false)
 	r.CacheLookup(false)
@@ -25,7 +25,7 @@ func TestSnapshotAggregation(t *testing.T) {
 	if s.Faults != 22 || s.Reps != 15 || s.Batches != 1 || s.Chunks != 1 {
 		t.Errorf("sums: %+v", s)
 	}
-	if s.Kernel != 1000 || s.SinkWait != 200 || s.Sink != 300 || s.SourceWait != 400 {
+	if s.Kernel != 1000 || s.SinkWait != 200 || s.Sink != 300 || s.SourceWait != 400 || s.Collapse != 500 {
 		t.Errorf("durations: %+v", s)
 	}
 	if len(s.Workers) != 2 {
@@ -46,7 +46,7 @@ func TestSnapshotAggregation(t *testing.T) {
 	if got := s.CollapseRatio(); got != 0.6 {
 		t.Errorf("collapse ratio = %v", got)
 	}
-	if m := s.Metrics(); m["faults_presented"] != 22 || m["workers"] != 2 {
+	if m := s.Metrics(); m["faults_presented"] != 22 || m["workers"] != 2 || m["collapse_seconds"] != 500e-9 {
 		t.Errorf("metrics: %v", m)
 	}
 }
@@ -70,14 +70,14 @@ func TestSnapshotSub(t *testing.T) {
 	w0 := r.Worker(0)
 	r.Flush(w0, &Local{Faults: 10, KernelNanos: 100})
 	before := r.Snapshot()
-	r.Flush(w0, &Local{Faults: 4, KernelNanos: 50})
+	r.Flush(w0, &Local{Faults: 4, KernelNanos: 50, CollapseNanos: 20})
 	w1 := r.Worker(1) // appears only after the baseline snapshot
 	r.Flush(w1, &Local{Faults: 6})
 	r.CacheLookup(false)
 
 	d := r.Snapshot().Sub(before)
-	if d.Faults != 10 || d.Kernel != 50 {
-		t.Errorf("delta sums: faults=%d kernel=%d", d.Faults, d.Kernel)
+	if d.Faults != 10 || d.Kernel != 50 || d.Collapse != 20 || d.Workers[0].Collapse != 20 {
+		t.Errorf("delta sums: faults=%d kernel=%d collapse=%d", d.Faults, d.Kernel, d.Collapse)
 	}
 	if len(d.Workers) != 2 || d.Workers[0].Faults != 4 || d.Workers[1].Faults != 6 {
 		t.Errorf("delta rows: %+v", d.Workers)
