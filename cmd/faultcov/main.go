@@ -10,7 +10,7 @@
 //	faultcov -format json    # JSON Lines: one object per table row
 //	faultcov -engine oracle  # per-fault reference engine
 //	faultcov -workers 4      # fixed campaign worker count
-//	faultcov -collapse=false # simulate the full universe, uncollapsed
+//	faultcov -collapse=false # simulate materialized universes uncollapsed
 //	faultcov -drop           # cross-test fault dropping in sessions
 //	faultcov -session        # report survivors per session stage
 //	faultcov -seed 99        # reseed the sampled coupling-pair draws
@@ -65,7 +65,8 @@
 // The -engine flag selects the campaign execution strategy: "compiled"
 // (default) lowers the recorded test trace into a flat instruction
 // program replayed allocation-free over per-worker arenas with
-// structural fault collapsing; "bitpar" is the per-batch trace
+// structural fault collapsing of materialized universes (streamed ones
+// are never collapsed); "bitpar" is the per-batch trace
 // interpreter; "oracle" re-runs the full algorithm once per injected
 // fault.  All three produce identical tables — including the
 // signature-compressed (MISR/BIST) rows, whose aliasing the compiled
@@ -173,7 +174,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV (legacy alias for -format csv)")
 	engine := flag.String("engine", "compiled", "campaign engine: compiled (arena replay), bitpar (per-batch interpreter) or oracle (one run per fault)")
 	workers := flag.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
-	collapse := flag.Bool("collapse", true, "collapse equivalent faults before simulation (compiled engine)")
+	collapse := flag.Bool("collapse", true, "collapse equivalent faults of materialized universes before simulation (compiled engine; streams are never collapsed)")
 	drop := flag.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
 	session := flag.Bool("session", false, "print one summary line per campaign session with survivors after each stage")
 	seed := flag.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")

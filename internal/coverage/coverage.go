@@ -232,12 +232,14 @@ func DefaultPartition() (index, count int) {
 // engine; the zero value means collapsing is on.
 var collapseOff atomic.Bool
 
-// SetCollapse toggles structural fault collapsing (the -collapse flag).
-// Collapsing is exact — collapsed campaigns are property-tested
-// byte-identical to full ones — so it defaults to on.
+// SetCollapse toggles structural fault collapsing of materialized
+// universes (the -collapse flag); streamed universes are never
+// collapsed.  Collapsing is exact — collapsed campaigns are
+// property-tested byte-identical to full ones — so it defaults to on.
 func SetCollapse(on bool) { collapseOff.Store(!on) }
 
-// CollapseEnabled reports whether the compiled engine collapses.
+// CollapseEnabled reports whether the compiled engine collapses
+// materialized universes.
 func CollapseEnabled() bool { return !collapseOff.Load() }
 
 // MemoryFactory builds a fresh fault-free memory for each trial.
@@ -298,7 +300,8 @@ type EngineStats struct {
 	// run by one worker reports 1, not the requested pool size.
 	Workers int
 	// Reps is the number of faults simulated after collapsing
-	// (== Total when collapsing was off or not applicable).
+	// (== Total when collapsing was off or not applicable, and always
+	// on a streamed stage).
 	Reps int
 	// ProgramOps and TrimmedOps report the compiled instruction count
 	// and how many trailing trace ops the compiler dropped (compiled
@@ -335,8 +338,8 @@ type EngineStats struct {
 	KernelTime, SinkWait, SourceWait []time.Duration
 	// CollapseTime is the stage's time spent collapsing faults into
 	// representatives and expanding their verdicts back, summed over
-	// workers — the layer between the source-wait and kernel timers
-	// (telemetry registry attached and collapsing on; zero otherwise).
+	// workers (telemetry registry attached and a collapsed materialized
+	// stage; zero otherwise).
 	CollapseTime time.Duration
 	// Sink labels the streaming sink discipline the stage ran under —
 	// "ordered" (serialized ChunkSink) or "unordered" (per-worker

@@ -6,8 +6,10 @@ import (
 	"repro/internal/bist"
 	"repro/internal/fault"
 	"repro/internal/gf"
+	"repro/internal/march"
 	"repro/internal/prt"
 	"repro/internal/ram"
+	"repro/internal/sim"
 )
 
 // These tests pin down the signature-observer replay path: MISR/BIST
@@ -179,6 +181,41 @@ func TestStatsReportEffectiveWorkers(t *testing.T) {
 	}
 	if o.Stats.Workers != 8 {
 		t.Errorf("oracle Workers = %d, want 8 (64 faults keep the pool busy)", o.Stats.Workers)
+	}
+}
+
+// TestStreamStatsReportEffectiveWorkers is the streaming analogue: a
+// source of exact Count never gets more workers than it has chunks,
+// whichever engine and sink discipline run the stage.
+func TestStreamStatsReportEffectiveWorkers(t *testing.T) {
+	const n = 16 // 64 single-cell faults
+	r := MarchRunner(march.MarchCMinus(), nil)
+	for _, tc := range []struct {
+		engine Engine
+		sink   SinkMode
+		chunk  int
+		want   int
+	}{
+		{EngineCompiled, SinkOrdered, 0, 1},
+		{EngineCompiled, SinkUnordered, 0, 1},
+		{EngineBitParallel, SinkOrdered, 0, 1},
+		{EngineOracle, SinkOrdered, 0, 1},
+		{EngineCompiled, SinkUnordered, 16, 4},
+		{EngineCompiled, SinkOrdered, 5, 8},
+	} {
+		p := Plan{
+			Runners: []Runner{r}, Stream: &fault.Stream{Name: "single", Source: fault.SingleCellSource(n, 1)},
+			Chunk: tc.chunk, Memory: bomFactory(n), Workers: 8,
+			Engine: tc.engine, Sink: tc.sink, Cache: sim.NewProgramCache(),
+		}
+		res := p.Run().Results[0]
+		if res.Total != 64 || res.Stats == nil {
+			t.Fatalf("%v/%v chunk=%d: Total = %d, Stats = %+v", tc.engine, tc.sink, tc.chunk, res.Total, res.Stats)
+		}
+		if res.Stats.Workers != tc.want {
+			t.Errorf("%v/%v chunk=%d: Workers = %d, want the effective %d",
+				tc.engine, tc.sink, tc.chunk, res.Stats.Workers, tc.want)
+		}
 	}
 }
 

@@ -560,7 +560,6 @@ func (p *Plan) detectStreamUnordered(ctx context.Context, st *stage, src fault.S
 			}
 		}
 	}
-	cfg.Collapse = CollapseEnabled()
 	w, reps, err := sim.ShardsCompiledUnordered(ctx, st.prog, src, cfg, sinkFor)
 	if err != nil && ctx.Err() == nil {
 		panic(fmt.Sprintf("coverage: unordered compiled streaming replay of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
@@ -612,7 +611,6 @@ func (p *Plan) detectStreamUnordered(ctx context.Context, st *stage, src fault.S
 func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cfg sim.StreamConfig, sink sim.ChunkSink) (*EngineStats, error) {
 	switch {
 	case st.prog != nil:
-		cfg.Collapse = CollapseEnabled()
 		w, reps, err := sim.ShardsCompiledStream(ctx, st.prog, src, cfg, sink)
 		if err != nil && ctx.Err() == nil {
 			panic(fmt.Sprintf("coverage: compiled streaming replay of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))

@@ -82,6 +82,9 @@ func TestSessionTelemetryDetail(t *testing.T) {
 			t.Errorf("%s: CollapseTime = %v with collapsing on", st.Runner, st.Stats.CollapseTime)
 		}
 	}
+	if reg.Snapshot().Metrics()["collapse_seconds"] <= 0 {
+		t.Error("/metrics collapse_seconds is zero after a collapsed stage")
+	}
 	if len(reports) != len(s.Stages) {
 		t.Fatalf("stage reports = %d, want %d", len(reports), len(s.Stages))
 	}
@@ -105,7 +108,8 @@ func TestSessionTelemetryDetail(t *testing.T) {
 
 // TestStreamTelemetryDetail: a streaming session fills the sink-wait
 // and source-wait splits (the 16-worker contention question), computes
-// sink-wait shares, and reports its stages.
+// sink-wait shares, and reports its stages.  Streams are never
+// collapsed, even with collapsing on.
 func TestStreamTelemetryDetail(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var mu sync.Mutex
@@ -117,6 +121,7 @@ func TestStreamTelemetryDetail(t *testing.T) {
 	})
 	telemetry.SetActive(reg)
 	defer telemetry.SetActive(nil)
+	SetCollapse(true)
 
 	src := fault.FullCouplingSource(9)
 	st := &fault.Stream{Name: "cf-exhaustive", Source: src}
@@ -136,11 +141,9 @@ func TestStreamTelemetryDetail(t *testing.T) {
 			t.Errorf("worker %d sink-wait share = %v", i, sh)
 		}
 	}
-	if res.Stats.CollapseTime <= 0 {
-		t.Errorf("streaming CollapseTime = %v with collapsing on", res.Stats.CollapseTime)
-	}
-	if reg.Snapshot().Metrics()["collapse_seconds"] <= 0 {
-		t.Error("/metrics collapse_seconds is zero after a collapsed stage")
+	if res.Stats.Reps != res.Total || res.Stats.CollapseRatio != 1 || res.Stats.CollapseTime != 0 {
+		t.Errorf("streaming stage collapsed: Reps = %d of %d, CollapseRatio = %v, CollapseTime = %v",
+			res.Stats.Reps, res.Total, res.Stats.CollapseRatio, res.Stats.CollapseTime)
 	}
 	if len(reports) != 1 || reports[0].Universe != "cf-exhaustive" {
 		t.Fatalf("stage reports: %+v", reports)

@@ -1,8 +1,7 @@
 // Structural fault collapsing.  Collapse must be deterministic: the
-// streaming drivers collapse chunk-locally on every run and the
-// equivalence property tests byte-compare collapsed campaigns against
-// full ones, so class representatives may not depend on iteration
-// order.
+// materialized executor collapses on every run and the equivalence
+// property tests byte-compare collapsed campaigns against full ones,
+// so class representatives may not depend on iteration order.
 //
 //faultsim:deterministic
 
@@ -110,8 +109,7 @@ func (c *Collapsed) Saved() int { return len(c.Map) - len(c.Reps) }
 
 // Collapser partitions fault sets into exact equivalence classes.  It
 // owns its index table and result buffers and reuses them across
-// calls: the streaming drivers keep one per worker for every chunk of
-// a campaign and the materialized session one for all its stages.  The
+// calls: a materialized session keeps one for all its stages.  The
 // Collapsed a call returns aliases those buffers and is valid until
 // the next call.  The zero value is ready to use; a Collapser is not
 // safe for concurrent use.
@@ -131,26 +129,14 @@ type collapseSlot struct {
 	rep       int32
 }
 
-// Collapse partitions faults into exact equivalence classes.  sum, when
-// non-nil, enables the trace-conditioned rules; the caller must have
-// produced it from the same trace the representatives will be
-// simulated against.
-//
-//faultsim:hotpath
-func (c *Collapser) Collapse(faults []Fault, sum *TraceSummary) Collapsed {
-	c.reset(len(faults))
-	for i, f := range faults {
-		c.m[i] = c.class(f, sum)
-	}
-	return c.done()
-}
-
-// CollapseView is Collapse over a view: the equivalence classes are
-// computed among the view's faults only (Map is indexed by view
-// position), so collapsing composes with cross-test fault dropping —
-// a representative whose class died out of the survivor set is not
-// simulated, and ExpandInto still scatters results back per view
-// position.
+// CollapseView partitions a view's faults into exact equivalence
+// classes.  sum, when non-nil, enables the trace-conditioned rules; the
+// caller must have produced it from the same trace the representatives
+// will be simulated against.  The classes are computed among the
+// view's faults only (Map is indexed by view position), so collapsing
+// composes with cross-test fault dropping — a representative whose
+// class died out of the survivor set is not simulated, and ExpandInto
+// still scatters results back per view position.
 //
 //faultsim:hotpath
 func (c *Collapser) CollapseView(v View, sum *TraceSummary) Collapsed {
@@ -238,10 +224,9 @@ func (c *Collapser) push(f Fault) int {
 }
 
 // Collapse partitions the universe into exact equivalence classes with
-// a fresh Collapser (see Collapser.Collapse).
+// a fresh Collapser (see Collapser.CollapseView).
 func Collapse(faults []Fault, sum *TraceSummary) Collapsed {
-	var c Collapser
-	return c.Collapse(faults, sum)
+	return CollapseView(Span(faults), sum)
 }
 
 // CollapseView collapses a view with a fresh Collapser (see

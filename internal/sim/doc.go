@@ -66,10 +66,11 @@
 //   - ShardsCompiled drives the batches with one arena per worker and
 //     a shared stop flag so a failing batch short-circuits the rest.
 //
-// Campaigns can additionally collapse the universe into exact
-// equivalence classes (fault.Collapse, fed by Program.Summary) and
-// simulate one representative per class; package coverage expands the
-// results back so every experiment table is unchanged.
+// Campaigns over a materialized universe can additionally collapse it
+// into exact equivalence classes (fault.Collapse, fed by
+// Program.Summary) and simulate one representative per class; package
+// coverage expands the results back so every experiment table is
+// unchanged.  Streamed universes are not collapsed (see below).
 //
 // Three capabilities serve the campaign *session* layer (package
 // coverage's planner/executor, which runs several tests over one
@@ -99,16 +100,16 @@
 // Each worker owns one reusable chunk buffer plus its arena; chunks
 // are claimed under a source mutex, optionally filtered against a
 // dropped-fault bitmap (fault.BitSet — the session layer's cross-test
-// dropping), structurally collapsed chunk-locally by the worker's
-// reused fault.Collapser (representatives and their expansion never
-// outlive the chunk; steady-state chunks allocate nothing), replayed
-// as 64-machine batches, and the verdicts delivered to a serialized
-// per-chunk sink keyed by universe index — so order-insensitive sinks
-// (tallies, bitmaps) observe deterministic results whatever the chunk
-// scheduling, and order-sensitive ones (the checkpoint layer's
-// contiguous-cut tracker) can reorder on the delivered [base, base+n)
-// keys.  StreamShard exposes the same loop over a caller-supplied
-// replay function (package coverage's chunked oracle).
+// dropping), replayed as 64-machine batches, and the verdicts
+// delivered to a serialized per-chunk sink keyed by universe index —
+// so order-insensitive sinks (tallies, bitmaps) observe deterministic
+// results whatever the chunk scheduling, and order-sensitive ones (the
+// checkpoint layer's contiguous-cut tracker) can reorder on the
+// delivered [base, base+n) keys.  Chunks are not collapsed: the
+// exhaustive families streamed here hold almost no equivalent faults
+// within a chunk, so a collapse pass would cost more than it saves.
+// StreamShard exposes the same loop over a caller-supplied replay
+// function (package coverage's chunked oracle).
 //
 // The streaming drivers offer two sink disciplines.  The serialized
 // path (ShardsStream, ShardsCompiledStream, StreamShard) delivers
@@ -140,9 +141,9 @@
 // The engine is exact, not approximate: package coverage cross-checks
 // all of it against the per-fault oracle path, and the equivalence
 // property tests assert identical per-class results over full fault
-// universes, for both kernels, with collapsing on and off — including
-// signature-compressed (MISR/BIST) runners, whose aliasing the
-// observer path models bit-exactly.  Runners opt in via
+// universes, for both kernels, with collapsing of materialized
+// universes on and off — including signature-compressed (MISR/BIST)
+// runners, whose aliasing the observer path models bit-exactly.  Runners opt in via
 // coverage.ReplaySafe; anything else (un-annotated adaptive stimuli)
 // stays on the oracle.
 package sim

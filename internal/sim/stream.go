@@ -32,8 +32,8 @@ import (
 
 // DefaultChunk is the fault count pulled per chunk when the caller
 // passes chunk <= 0: large enough to amortize the per-chunk costs
-// (source lock, collapse pass, sink call) over thousands of batches,
-// small enough that a worker's resident faults stay ~100s of KB.
+// (source lock, sink call) over thousands of batches, small enough
+// that a worker's resident faults stay ~100s of KB.
 const DefaultChunk = 8192
 
 // ChunkSink receives one completed chunk: the chunk claimed universe
@@ -46,7 +46,11 @@ const DefaultChunk = 8192
 // retain them.
 type ChunkSink func(base, n int, idx []int, faults []fault.Fault, detected []bool)
 
-// StreamConfig parameterizes one streaming shard run.
+// StreamConfig parameterizes one streaming shard run.  Streamed
+// chunks are never structurally collapsed: on the exhaustive families
+// a chunk holds almost no equivalent faults, so a collapse pass would
+// cost more than the replays it saves.  Collapsing is a property of
+// materialized universes (coverage.SetCollapse).
 type StreamConfig struct {
 	// Chunk is the faults-per-pull (<= 0 selects DefaultChunk).
 	Chunk int
@@ -60,35 +64,37 @@ type StreamConfig struct {
 	// past the completed prefix and sets Base to the skip count so
 	// delivered indices stay universe-absolute.
 	Base int
-	// Collapse enables chunk-local structural fault collapsing
-	// (ShardsCompiledStream only).
-	Collapse bool
 	// Arenas optionally pools the per-worker arenas
 	// (ShardsCompiledStream only; nil builds fresh ones).
 	Arenas *ArenaPool
 }
 
-func (c StreamConfig) chunkSize() int {
-	if c.Chunk <= 0 {
-		return DefaultChunk
+// sizes resolves the worker count and the per-worker chunk buffer
+// length.  When src knows its exact size, neither exceeds what the
+// stream can use: no more workers than chunks, no buffer longer than
+// the universe (a resumed source yields at most Count faults, so the
+// bounds stay safe after a Skip).
+func (c StreamConfig) sizes(src fault.Source) (workers, chunk int) {
+	workers, chunk = c.Workers, c.Chunk
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return c.Chunk
-}
-
-func (c StreamConfig) workerCount() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
+	if chunk <= 0 {
+		chunk = DefaultChunk
 	}
-	return c.Workers
+	if n, exact := src.Count(); exact {
+		chunk = max(1, min(chunk, n))
+		workers = max(1, min(workers, (n+chunk-1)/chunk))
+	}
+	return workers, chunk
 }
 
 // StreamShard drives a streaming campaign over a generic replay
 // function: workers pull chunks from src, skip faults filtered by
 // cfg.Drop, replay the rest in 64-fault batches through their private
 // replay function (det[0] receives the batch's detection mask), and
-// deliver verdicts to sink.  It returns the worker count and how many
-// faults were simulated (after drop filtering; collapsing on the
-// compiled wrapper reduces it further).
+// deliver verdicts to sink.  It returns the effective worker count and
+// how many faults were simulated (after drop filtering).
 //
 // Cancellation is cooperative at batch granularity: ctx is checked on
 // every chunk claim and between the chunk's batches, an interrupted
@@ -97,7 +103,7 @@ func (c StreamConfig) workerCount() int {
 func StreamShard(ctx context.Context, src fault.Source, cfg StreamConfig,
 	newWorker func() (replay func(batch []fault.Fault, det []uint64) error, done func()),
 	sink ChunkSink) (int, int, error) {
-	return streamShard(ctx, src, cfg, nil, BatchSize, newWorker, sharedSink(sink), true)
+	return streamShard(ctx, src, cfg, BatchSize, newWorker, sharedSink(sink), true)
 }
 
 // sharedSink adapts a single serialized sink to the per-worker sink
@@ -110,7 +116,7 @@ func sharedSink(sink ChunkSink) func(worker int) ChunkSink {
 // the per-batch interpreter — the reference streaming path, mirroring
 // Shards.
 func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamConfig, sink ChunkSink) (int, int, error) {
-	return streamShard(ctx, src, cfg, nil, BatchSize, func() (func([]fault.Fault, []uint64) error, func()) {
+	return streamShard(ctx, src, cfg, BatchSize, func() (func([]fault.Fault, []uint64) error, func()) {
 		return func(batch []fault.Fault, det []uint64) error {
 			mask, err := ReplayBatch(tr, batch)
 			det[0] = mask
@@ -121,10 +127,8 @@ func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamCo
 
 // ShardsCompiledStream replays a compiled program over a streaming
 // universe: one arena per worker, reused across every batch of every
-// chunk (optionally drawn from cfg.Arenas).  When cfg.Collapse is true
-// each chunk is structurally collapsed before replay and the
-// representative verdicts expanded back chunk-locally, so collapsing
-// never needs the whole universe in memory either.
+// chunk (optionally drawn from cfg.Arenas).  A chunk is pulled,
+// drop-filtered, replayed and delivered; it is not collapsed.
 func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sink ChunkSink) (int, int, error) {
 	return shardsCompiled(ctx, p, src, cfg, sharedSink(sink), true)
 }
@@ -147,13 +151,8 @@ func ShardsCompiledUnordered(ctx context.Context, p *Program, src fault.Source, 
 }
 
 func shardsCompiled(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink, serialize bool) (int, int, error) {
-	var sum *fault.TraceSummary
-	if cfg.Collapse {
-		s := p.Summary()
-		sum = &s
-	}
 	arenas := cfg.Arenas
-	return streamShard(ctx, src, cfg, sum, p.BatchFaults(), func() (func([]fault.Fault, []uint64) error, func()) {
+	return streamShard(ctx, src, cfg, p.BatchFaults(), func() (func([]fault.Fault, []uint64) error, func()) {
 		a := arenas.Get(p)
 		return func(batch []fault.Fault, det []uint64) error {
 			return p.ReplayInto(a, batch, det)
@@ -161,20 +160,18 @@ func shardsCompiled(ctx context.Context, p *Program, src fault.Source, cfg Strea
 	}, sinkFor, serialize)
 }
 
-// streamShard is the shared driver; sum non-nil enables per-chunk
-// structural collapsing; batchFaults is the machines per replay pass
-// (the replay function's det buffer gets one word per 64).  sinkFor
-// builds worker w's sink once at worker startup; with serialize the
-// calls across all workers are additionally interlocked behind one
-// mutex (the ordered ChunkSink contract), without it each worker
-// calls its own sink lock-free (the unordered path).
+// streamShard is the shared driver; batchFaults is the machines per
+// replay pass (the replay function's det buffer gets one word per
+// 64).  sinkFor builds worker w's sink once at worker startup; with
+// serialize the calls across all workers are additionally interlocked
+// behind one mutex (the ordered ChunkSink contract), without it each
+// worker calls its own sink lock-free (the unordered path).
 //
 //faultsim:hotpath
-func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *fault.TraceSummary, batchFaults int,
+func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, batchFaults int,
 	newWorker func() (func([]fault.Fault, []uint64) error, func()),
 	sinkFor func(worker int) ChunkSink, serialize bool) (int, int, error) {
-	chunk := cfg.chunkSize()
-	workers := cfg.workerCount()
+	workers, chunk := cfg.sizes(src)
 	drop := cfg.Drop
 	ctxDone := ctx.Done()
 	var (
@@ -216,7 +213,6 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 			buf := make([]fault.Fault, chunk)             //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
 			idx := make([]int, chunk)                     //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
 			det := make([]bool, chunk)                    //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
-			repDet := make([]bool, chunk)                 //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
 			mask := make([]uint64, batchFaults/BatchSize) //faultsim:alloc-ok per-worker detection mask, reused for every batch
 			// Telemetry: worker-local counters, flushed into the padded
 			// per-worker slot once per chunk.  The source-claim and
@@ -227,10 +223,6 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 			if reg != nil {
 				tw = reg.Worker(w)
 			}
-			// One collapser per worker: its index table and result
-			// buffers are sized by the first chunk and reused for every
-			// later one.
-			var collapser fault.Collapser
 			for !stop.Load() {
 				// Cooperative cancellation, checked once per chunk claim: an
 				// in-flight chunk is abandoned before its sink delivery, so
@@ -269,29 +261,13 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 						ids = append(ids, b+i)
 					}
 				}
-				// Per-chunk collapsing: equivalence classes are computed
-				// among the chunk's survivors only and expanded back before
-				// the chunk leaves the worker — nothing outlives the chunk.
-				r := faults
-				var col fault.Collapsed
-				collapsed := sum != nil && len(faults) > 0
-				if collapsed {
-					if tw != nil {
-						t0 = time.Now()
-					}
-					col = collapser.Collapse(faults, sum)
-					r = col.Reps
-					if tw != nil {
-						tl.CollapseNanos += uint64(time.Since(t0))
-					}
-				}
-				reps.Add(int64(len(r)))
-				rd := repDet[:len(r)]
+				reps.Add(int64(len(faults)))
+				d := det[:len(faults)]
 				failed := false
 				if tw != nil {
 					t0 = time.Now()
 				}
-				for lo := 0; lo < len(r); lo += batchFaults {
+				for lo := 0; lo < len(faults); lo += batchFaults {
 					select {
 					case <-ctxDone:
 						// Abandon the chunk mid-replay: none of its verdicts
@@ -302,10 +278,10 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 					default:
 					}
 					hi := lo + batchFaults
-					if hi > len(r) {
-						hi = len(r)
+					if hi > len(faults) {
+						hi = len(faults)
 					}
-					err := replay(r[lo:hi], mask)
+					err := replay(faults[lo:hi], mask)
 					if err != nil {
 						errs[w] = err
 						stop.Store(true)
@@ -314,29 +290,17 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 					}
 					for i := lo; i < hi; i++ {
 						j := i - lo
-						rd[i] = mask[j>>6]>>(uint(j)&63)&1 == 1
+						d[i] = mask[j>>6]>>(uint(j)&63)&1 == 1
 					}
 				}
 				if tw != nil {
 					tl.KernelNanos += uint64(time.Since(t0))
-					tl.Batches += uint64((len(r) + batchFaults - 1) / batchFaults)
-					tl.Reps += uint64(len(r))
+					tl.Batches += uint64((len(faults) + batchFaults - 1) / batchFaults)
+					tl.Reps += uint64(len(faults))
 				}
 				if failed {
 					reg.Flush(tw, &tl)
 					return
-				}
-				d := det[:len(faults)]
-				if collapsed {
-					if tw != nil {
-						t0 = time.Now()
-					}
-					col.ExpandInto(d, rd)
-					if tw != nil {
-						tl.CollapseNanos += uint64(time.Since(t0))
-					}
-				} else {
-					copy(d, rd)
 				}
 				if serialize {
 					if tw != nil {

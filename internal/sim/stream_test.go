@@ -52,31 +52,26 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, chunk := range []int{1, 7, 100, 4096} {
-		for _, collapse := range []bool{false, true} {
-			cs := newCollectSink()
-			_, reps, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
-				StreamConfig{Chunk: chunk, Workers: 3, Collapse: collapse}, cs.sink)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cs.seen != len(faults) {
-				t.Fatalf("chunk=%d collapse=%v: %d verdicts, want %d", chunk, collapse, cs.seen, len(faults))
-			}
-			// Collapsing is chunk-local, so single-fault chunks cannot
-			// shrink; larger chunks must (SA0/SA1 pairs are adjacent in
-			// the universe order).
-			if collapse && chunk > 1 && reps >= len(faults) {
-				t.Errorf("chunk=%d: collapsing simulated %d reps for %d faults", chunk, reps, len(faults))
-			}
-			for i := range faults {
-				if cs.det[i] != wantDet[i] {
-					t.Fatalf("chunk=%d collapse=%v fault %d: stream %v, shard %v",
-						chunk, collapse, i, cs.det[i], wantDet[i])
-				}
+		cs := newCollectSink()
+		_, reps, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
+			StreamConfig{Chunk: chunk, Workers: 3}, cs.sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.seen != len(faults) {
+			t.Fatalf("chunk=%d: %d verdicts, want %d", chunk, cs.seen, len(faults))
+		}
+		// Streams are never collapsed: every presented fault is replayed.
+		if reps != len(faults) {
+			t.Errorf("chunk=%d: simulated %d faults, want %d", chunk, reps, len(faults))
+		}
+		for i := range faults {
+			if cs.det[i] != wantDet[i] {
+				t.Fatalf("chunk=%d fault %d: stream %v, shard %v", chunk, i, cs.det[i], wantDet[i])
 			}
 		}
 		// The interpreter path agrees too.
-		cs := newCollectSink()
+		cs = newCollectSink()
 		if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults),
 			StreamConfig{Chunk: chunk, Workers: 3}, cs.sink); err != nil {
 			t.Fatal(err)
@@ -105,7 +100,7 @@ func TestStreamDropFilter(t *testing.T) {
 	}
 	cs := newCollectSink()
 	if _, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-		StreamConfig{Chunk: 5, Workers: 2, Drop: drop, Collapse: true}, cs.sink); err != nil {
+		StreamConfig{Chunk: 5, Workers: 2, Drop: drop}, cs.sink); err != nil {
 		t.Fatal(err)
 	}
 	want := 0

@@ -124,7 +124,7 @@ func TestStreamTelemetryRace(t *testing.T) {
 		go func(i int) {
 			defer runsWG.Done()
 			_, _, errs[i] = ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-				StreamConfig{Chunk: 5, Workers: 3, Collapse: true},
+				StreamConfig{Chunk: 5, Workers: 3},
 				func(int, int, []int, []fault.Fault, []bool) {})
 		}(i)
 	}
@@ -140,7 +140,7 @@ func TestStreamTelemetryRace(t *testing.T) {
 	if want := uint64(runs * len(faults)); s.Faults != want {
 		t.Errorf("faults presented = %d, want %d", s.Faults, want)
 	}
-	if s.Reps == 0 || s.Reps > s.Faults {
-		t.Errorf("collapsed reps = %d of %d faults", s.Reps, s.Faults)
+	if s.Reps != s.Faults {
+		t.Errorf("reps = %d of %d faults: streams are never collapsed", s.Reps, s.Faults)
 	}
 }

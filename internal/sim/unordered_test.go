@@ -26,39 +26,44 @@ func TestUnorderedMatchesOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, chunk := range []int{1, 7, 100, 4096} {
-		for _, collapse := range []bool{false, true} {
-			const workers = 4
-			sinks := make([]*collectSink, workers)
-			_, _, err := ShardsCompiledUnordered(ctx, p, fault.SliceSource(faults),
-				StreamConfig{Chunk: chunk, Workers: workers, Collapse: collapse},
-				func(w int) ChunkSink {
-					sinks[w] = newCollectSink()
-					return sinks[w].sink
-				})
-			if err != nil {
-				t.Fatal(err)
+		const workers = 4
+		sinks := make([]*collectSink, workers)
+		w, _, err := ShardsCompiledUnordered(ctx, p, fault.SliceSource(faults),
+			StreamConfig{Chunk: chunk, Workers: workers},
+			func(w int) ChunkSink {
+				sinks[w] = newCollectSink()
+				return sinks[w].sink
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The pool is clamped to the chunk count; every effective
+		// worker gets a sink, no idle one is started.
+		if chunks := (len(faults) + chunk - 1) / chunk; w != min(workers, chunks) {
+			t.Fatalf("chunk=%d: %d workers for %d chunks", chunk, w, chunks)
+		}
+		merged := newCollectSink()
+		for i, cs := range sinks {
+			if (cs == nil) != (i >= w) {
+				t.Fatalf("chunk=%d: sink factory called=%v for worker %d of %d", chunk, cs != nil, i, w)
 			}
-			merged := newCollectSink()
-			for w, cs := range sinks {
-				if cs == nil {
-					t.Fatalf("chunk=%d: sink factory never called for worker %d", chunk, w)
-				}
-				for i, d := range cs.det {
-					if _, dup := merged.det[i]; dup {
-						t.Fatalf("chunk=%d: universe index %d delivered to two workers", chunk, i)
-					}
-					merged.det[i] = d
-					merged.seen++
-				}
+			if cs == nil {
+				continue
 			}
-			if merged.seen != len(faults) {
-				t.Fatalf("chunk=%d collapse=%v: %d verdicts, want %d", chunk, collapse, merged.seen, len(faults))
-			}
-			for i := range faults {
-				if merged.det[i] != wantDet[i] {
-					t.Fatalf("chunk=%d collapse=%v fault %d: unordered %v, shard %v",
-						chunk, collapse, i, merged.det[i], wantDet[i])
+			for i, d := range cs.det {
+				if _, dup := merged.det[i]; dup {
+					t.Fatalf("chunk=%d: universe index %d delivered to two workers", chunk, i)
 				}
+				merged.det[i] = d
+				merged.seen++
+			}
+		}
+		if merged.seen != len(faults) {
+			t.Fatalf("chunk=%d: %d verdicts, want %d", chunk, merged.seen, len(faults))
+		}
+		for i := range faults {
+			if merged.det[i] != wantDet[i] {
+				t.Fatalf("chunk=%d fault %d: unordered %v, shard %v", chunk, i, merged.det[i], wantDet[i])
 			}
 		}
 	}
