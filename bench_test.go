@@ -512,8 +512,8 @@ func BenchmarkCampaignParallel(b *testing.B) {
 // BenchmarkTelemetryOverhead guards the "near-free when detached,
 // cheap when attached" telemetry contract on the hottest path: the
 // compiled engine over the 1K acceptance universe.  "off" runs with no
-// registry attached (one nil pointer load per batch); "on" attaches a
-// registry with no progress callback, so every batch also flushes its
+// registry attached (one nil pointer load per chunk); "on" attaches a
+// registry with no progress callback, so every chunk also flushes its
 // worker-local counters into the padded atomic slots.  The two
 // sub-benches should stay within ~2% of each other.
 func BenchmarkTelemetryOverhead(b *testing.B) {

@@ -178,7 +178,7 @@ func main() {
 	drop := flag.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
 	session := flag.Bool("session", false, "print one summary line per campaign session with survivors after each stage")
 	seed := flag.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
-	chunk := flag.Int("chunk", 0, "faults per pull of streaming campaigns (0 = the engine default)")
+	chunk := flag.Int("chunk", 0, "faults per pull of streaming campaigns, at least 1 (omit the flag for the engine default)")
 	lanes := flag.Int("lanes", 64, "machines simulated per compiled replay batch: 64, 256 or 512 (wide lanes trade arena size for per-pass throughput)")
 	exhaustiveCF := flag.Bool("exhaustive-cf", false, "run E17 over the full-scale exhaustive coupling universes (millions of fault instances, streaming engine only)")
 	progress := flag.Bool("progress", false, "stream live campaign progress (faults/s, ETA, survivors) and per-stage engine reports to stderr")

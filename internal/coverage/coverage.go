@@ -146,7 +146,7 @@ func DefaultLaneWords() int {
 // defaultCtx, when set, is the ambient context campaigns invoked
 // through the context-less entry points (Plan.Run, Campaign, Compare,
 // the experiment tables) execute under — the CLI installs its
-// signal-cancelled context here so SIGINT/SIGTERM reaches every shard
+// signal-cancelled context here so SIGINT/SIGTERM reaches every replay
 // driver without threading a parameter through each experiment.
 //
 //faultsim:ambient audited ambient-default hook: installed once by the CLI, read by context-less entry points, cleared by SetDefaultContext(nil)
@@ -296,8 +296,8 @@ type EngineStats struct {
 	// fallback, whatever was requested otherwise).
 	Engine Engine
 	// Workers is the effective goroutine count work was sharded over,
-	// after clamping to the batch (or fault) count — a small universe
-	// run by one worker reports 1, not the requested pool size.
+	// after clamping to the chunk count — a universe of one replay
+	// batch run by one worker reports 1, not the requested pool size.
 	Workers int
 	// Reps is the number of faults simulated after collapsing
 	// (== Total when collapsing was off or not applicable, and always

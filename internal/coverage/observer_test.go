@@ -186,7 +186,10 @@ func TestStatsReportEffectiveWorkers(t *testing.T) {
 
 // TestStreamStatsReportEffectiveWorkers is the streaming analogue: a
 // source of exact Count never gets more workers than it has chunks,
-// whichever engine and sink discipline run the stage.
+// whichever engine and sink discipline run the stage.  The default
+// chunk is capped so every worker gets at least 16 chunks, in whole
+// claims (a 64-fault batch for the replay engines, one fault for the
+// oracle), so the oracle spreads 64 faults over all 8 workers.
 func TestStreamStatsReportEffectiveWorkers(t *testing.T) {
 	const n = 16 // 64 single-cell faults
 	r := MarchRunner(march.MarchCMinus(), nil)
@@ -199,7 +202,7 @@ func TestStreamStatsReportEffectiveWorkers(t *testing.T) {
 		{EngineCompiled, SinkOrdered, 0, 1},
 		{EngineCompiled, SinkUnordered, 0, 1},
 		{EngineBitParallel, SinkOrdered, 0, 1},
-		{EngineOracle, SinkOrdered, 0, 1},
+		{EngineOracle, SinkOrdered, 0, 8},
 		{EngineCompiled, SinkUnordered, 16, 4},
 		{EngineCompiled, SinkOrdered, 5, 8},
 	} {

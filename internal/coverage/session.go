@@ -29,10 +29,11 @@ import (
 //
 //   - cross-test fault dropping (Plan.Drop): once a fault is detected
 //     by one test of the session it is dropped from the remaining
-//     tests, which replay only the survivor subset through a view of
-//     the fault slice (fault.View) — a survivor bitmap (fault.BitView,
-//     one bit per universe fault) rather than materialized index
-//     slices.  Dropping is
+//     tests, which replay only the survivor subset.  Survivors are
+//     held as a bitmap (fault.BitView over fault.BitSet, one bit per
+//     universe fault); each stage streams its survivors (or their
+//     collapse representatives) as one dense slice through the same
+//     replay driver streaming sessions use.  Dropping is
 //     verdict-preserving: a fault that IS simulated by a stage gets
 //     exactly the verdict an independent campaign would give it
 //     (verdicts are unconditional properties of the (runner, fault)
@@ -293,7 +294,7 @@ func (p *Plan) RunContext(ctx context.Context) *Session {
 	cum := make([]bool, nFaults)
 	cumDetected := 0
 	arenas := &sim.ArenaPool{}
-	var scratch collapseScratch
+	var scratch stageScratch
 	reg := telemetry.Active()
 	// Cross-test dropping bookkeeping: one bit per universe fault (set
 	// while undetected), exposed to later stages as a fault.BitView —
@@ -365,8 +366,9 @@ func (p *Plan) RunContext(ctx context.Context) *Session {
 		})
 		if err != nil {
 			// Cancelled mid-stage: the verdict slice covers only the
-			// batches that ran (unsimulated faults read as undetected, so
-			// Detected is a lower bound).  Remaining stages never run.
+			// chunks that completed (unsimulated faults read as
+			// undetected, so Detected is a lower bound).  Remaining
+			// stages never run.
 			s.Interrupted = true
 			break
 		}
@@ -614,143 +616,92 @@ func runClean(r Runner, mk MemoryFactory) (falsePositive bool, ops uint64) {
 }
 
 // detect runs one stage over the view and returns per-view-position
-// verdicts plus the engine report.  The error is non-nil exactly when
-// ctx was cancelled (the verdicts then cover only the batches that
-// ran); any other driver failure panics, as a broken engine invariant.
+// verdicts plus the engine report.  Every engine runs on the streaming
+// driver (detectStream): the stage's dense fault slice — the collapse
+// representatives, or else the view's faults — is streamed through
+// fault.SliceSource and the sink stores each verdict by position.  The
+// error is non-nil exactly when ctx was cancelled (the verdicts then
+// cover only the chunks that completed; the rest read as undetected);
+// any other driver failure panics, as a broken engine invariant.
 //
-// With collapsing on, the returned verdicts live in scratch.det and are
-// valid until the next detect call on the same scratch.
-func (p *Plan) detect(ctx context.Context, st *stage, view fault.View, workers int, arenas *sim.ArenaPool, scratch *collapseScratch) ([]bool, *EngineStats, error) {
-	switch {
-	case st.prog != nil:
-		v := view
-		var col fault.Collapsed
-		collapsed := CollapseEnabled()
-		reg := telemetry.Active()
-		var credit telemetry.Local
-		var t0 time.Time
-		if collapsed {
-			if reg != nil {
-				t0 = time.Now() //faultsim:ordered collapse timing is telemetry only
-			}
-			sum := st.prog.Summary()
-			col = scratch.collapser.CollapseView(view, &sum)
-			v = fault.Span(col.Reps)
-			if reg != nil {
-				credit.CollapseNanos = uint64(time.Since(t0)) //faultsim:ordered collapse timing is telemetry only
-			}
-		}
-		d, w, err := sim.ShardsCompiledView(ctx, st.prog, v, workers, arenas)
-		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: compiled replay of %s on %s: %v", st.runner.Name(), p.Universe.Name, err))
-		}
-		if collapsed {
-			if reg != nil {
-				t0 = time.Now() //faultsim:ordered collapse timing is telemetry only
-			}
-			if cap(scratch.det) < view.Len() {
-				scratch.det = make([]bool, view.Len())
-			}
-			expanded := scratch.det[:view.Len()]
-			col.ExpandInto(expanded, d)
-			d = expanded
-			if reg != nil {
-				credit.CollapseNanos += uint64(time.Since(t0)) //faultsim:ordered collapse timing is telemetry only
-				// The shard driver counted the representatives it
-				// simulated; credit the expanded remainder so the
-				// registry's presented-fault total (and the progress Done
-				// count) stays exact.  Skipped on cancellation: the stage
-				// did not finish, so the progress total is not owed.
-				if err == nil {
-					credit.Faults = uint64(view.Len() - v.Len())
-				}
-				reg.Flush(reg.Worker(0), &credit)
-			}
-		}
-		return d, &EngineStats{
-			Engine:     EngineCompiled,
-			Workers:    w,
-			Reps:       v.Len(),
-			ProgramOps: st.prog.Ops(),
-			TrimmedOps: st.prog.TrimmedOps(),
-			LaneWords:  st.prog.LaneWords(),
-			FusedOps:   st.prog.FusedOps(),
-		}, err
-	case st.tr != nil:
-		d, w, err := sim.ShardsView(ctx, st.tr, view, workers)
-		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: bitpar replay of %s on %s: %v", st.runner.Name(), p.Universe.Name, err))
-		}
-		return d, &EngineStats{Engine: EngineBitParallel, Workers: w, Reps: view.Len()}, err
-	default:
-		d, w, err := oracleDetectView(ctx, st.runner, view, p.Memory, workers)
-		return d, &EngineStats{Engine: EngineOracle, Workers: w, Reps: view.Len()}, err
-	}
-}
-
-// collapseScratch is the materialized executor's collapse state, reused
-// by every stage of a session: the collapser's index table and the
-// expanded-verdict buffer are sized by the first collapsed stage.
-type collapseScratch struct {
-	collapser fault.Collapser
-	det       []bool
-}
-
-// oracleDetectView is the reference path over a view: one full
-// algorithm run per presented fault, distributed over workers with an
-// atomic cursor.  It also returns the effective worker count, and
-// ctx.Err() when cancelled mid-run (the cancellation check is per
-// fault claim — one algorithm run is the natural response granularity
-// here, matching the replay drivers' per-batch check).
-func oracleDetectView(ctx context.Context, r Runner, v fault.View, mk MemoryFactory, workers int) ([]bool, int, error) {
-	n := v.Len()
-	detected := make([]bool, n)
-	if workers > n {
-		workers = n
-	}
-	ctxDone := ctx.Done()
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
+// The returned verdicts live in scratch and are valid until the next
+// detect call on the same scratch.
+func (p *Plan) detect(ctx context.Context, st *stage, view fault.View, workers int, arenas *sim.ArenaPool, scratch *stageScratch) ([]bool, *EngineStats, error) {
+	var col fault.Collapsed
+	collapsed := st.prog != nil && CollapseEnabled()
 	reg := telemetry.Active()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var tw *telemetry.Worker
-			var tl telemetry.Local
-			if reg != nil {
-				tw = reg.Worker(w)
-			}
-			for {
-				idx := int(cursor.Add(1)) - 1
-				if idx >= n {
-					return
-				}
-				select {
-				case <-ctxDone:
-					return
-				default:
-				}
-				var t0 time.Time
-				if tw != nil {
-					t0 = time.Now() //faultsim:ordered per-fault kernel timing is telemetry only
-				}
-				mem := v.At(idx).Inject(mk())
-				d, _ := r.Run(mem)
-				detected[idx] = d
-				if tw != nil {
-					// One full algorithm run per fault dwarfs a flush, so
-					// the oracle flushes per fault.
-					tl.KernelNanos += uint64(time.Since(t0)) //faultsim:ordered per-fault kernel timing is telemetry only
-					tl.Faults++
-					tl.Reps++
-					reg.Flush(tw, &tl)
-				}
-			}
-		}(w)
+	var credit telemetry.Local
+	var t0 time.Time
+	var faults []fault.Fault
+	switch {
+	case collapsed:
+		if reg != nil {
+			t0 = time.Now() //faultsim:ordered collapse timing is telemetry only
+		}
+		sum := st.prog.Summary()
+		col = scratch.collapser.CollapseView(view, &sum)
+		faults = col.Reps
+		if reg != nil {
+			credit.CollapseNanos = uint64(time.Since(t0)) //faultsim:ordered collapse timing is telemetry only
+		}
+	case view.Len() == len(p.Universe.Faults):
+		faults = p.Universe.Faults
+	default:
+		faults = scratch.faults[:0]
+		for i := 0; i < view.Len(); i++ {
+			faults = append(faults, view.At(i))
+		}
+		scratch.faults = faults
 	}
-	wg.Wait()
-	return detected, workers, ctx.Err()
+	det := grow(&scratch.rep, len(faults))
+	stats, err := p.detectStream(ctx, st, fault.SliceSource(faults), sim.StreamConfig{Workers: workers, Arenas: arenas},
+		func(_, _ int, idx []int, _ []fault.Fault, d []bool) {
+			for i, u := range idx {
+				det[u] = d[i]
+			}
+		})
+	if collapsed {
+		if reg != nil {
+			t0 = time.Now() //faultsim:ordered collapse timing is telemetry only
+		}
+		expanded := grow(&scratch.det, view.Len())
+		col.ExpandInto(expanded, det)
+		det = expanded
+		if reg != nil {
+			credit.CollapseNanos += uint64(time.Since(t0)) //faultsim:ordered collapse timing is telemetry only
+			// The driver counted the representatives it simulated;
+			// credit the expanded remainder so the registry's
+			// presented-fault total (and the progress Done count) stays
+			// exact.  Skipped on cancellation: the stage did not finish,
+			// so the progress total is not owed.
+			if err == nil {
+				credit.Faults = uint64(view.Len() - len(faults))
+			}
+			reg.Flush(reg.Worker(0), &credit)
+		}
+	}
+	return det, stats, err
+}
+
+// stageScratch is the materialized executor's per-stage state, reused
+// by every stage of a session: the collapser's index table, the
+// gathered survivor slice and the two verdict buffers are sized by
+// the largest stage.
+type stageScratch struct {
+	collapser fault.Collapser
+	faults    []fault.Fault
+	rep, det  []bool
+}
+
+// grow returns (*buf)[:n] cleared, reallocating only when n outgrows
+// the buffer.
+func grow(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
+	}
+	b := (*buf)[:n]
+	clear(b)
+	return b
 }
 
 // FormatStages renders the session's stage progression as one line:

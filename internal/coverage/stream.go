@@ -21,10 +21,10 @@ import (
 
 // This file is the streaming session executor: a Plan whose Stream
 // field is set runs its stages over a fault.Source pulled in bounded
-// chunks (sim.ShardsStream / sim.ShardsCompiledStream / a chunked
-// oracle), so session memory is O(Chunk × Workers) fault instances
-// plus one bit per universe fault — the universe size stops being a
-// memory bound.  Cross-test fault dropping is held as the cumulative
+// chunks (sim.ShardsStream / sim.ShardsCompiledStream /
+// sim.StreamShard for the oracle), so session memory is O(Chunk ×
+// Workers) fault instances plus one bit per universe fault — the
+// universe size stops being a memory bound.  Cross-test fault dropping is held as the cumulative
 // detection bitmap: a later stage skips every fault some earlier stage
 // already caught, exactly as the materialized executor's BitView path,
 // and the streaming property tests assert byte-identical Results
@@ -393,6 +393,7 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 				cum, &cumDetected, classTotal, classDet, tallyUniverse)
 		} else {
 			stats, err = p.detectStream(ctx, st, src, cfg, sink)
+			stats.Sink = SinkOrdered.String()
 		}
 		stats.PartitionIndex = partIdx
 		//faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
@@ -562,7 +563,7 @@ func (p *Plan) detectStreamUnordered(ctx context.Context, st *stage, src fault.S
 	}
 	w, reps, err := sim.ShardsCompiledUnordered(ctx, st.prog, src, cfg, sinkFor)
 	if err != nil && ctx.Err() == nil {
-		panic(fmt.Sprintf("coverage: unordered compiled streaming replay of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
+		panic(fmt.Sprintf("coverage: unordered compiled streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 	}
 	t0 := time.Now() //faultsim:ordered merge wall-clock is telemetry, reported beside the deterministic counts
 	for i := range accs {
@@ -605,15 +606,17 @@ func (p *Plan) detectStreamUnordered(ctx context.Context, st *stage, src fault.S
 }
 
 // detectStream runs one stage over the source and returns the engine
-// report; verdicts flow to the sink chunk by chunk.  The error is
-// non-nil exactly when ctx was cancelled (a partial run); any other
-// driver failure panics, as a broken engine invariant.
+// report; verdicts flow to the sink chunk by chunk.  It is the one
+// replay path of both executors: a materialized stage streams its
+// dense fault slice through fault.SliceSource.  The error is non-nil
+// exactly when ctx was cancelled (a partial run); any other driver
+// failure panics, as a broken engine invariant.
 func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cfg sim.StreamConfig, sink sim.ChunkSink) (*EngineStats, error) {
 	switch {
 	case st.prog != nil:
 		w, reps, err := sim.ShardsCompiledStream(ctx, st.prog, src, cfg, sink)
 		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: compiled streaming replay of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
+			panic(fmt.Sprintf("coverage: compiled replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
 		return &EngineStats{
 			Engine:     EngineCompiled,
@@ -623,31 +626,29 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 			TrimmedOps: st.prog.TrimmedOps(),
 			LaneWords:  st.prog.LaneWords(),
 			FusedOps:   st.prog.FusedOps(),
-			Sink:       SinkOrdered.String(),
 		}, err
 	case st.tr != nil:
 		w, reps, err := sim.ShardsStream(ctx, st.tr, src, cfg, sink)
 		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: bitpar streaming replay of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
+			panic(fmt.Sprintf("coverage: bitpar replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
-		return &EngineStats{Engine: EngineBitParallel, Workers: w, Reps: reps, Sink: SinkOrdered.String()}, err
+		return &EngineStats{Engine: EngineBitParallel, Workers: w, Reps: reps}, err
 	default:
-		// Chunked oracle: the generic driver pulls and filters chunks,
-		// the replay closure runs the full algorithm once per fault.
-		w, reps, err := sim.StreamShard(ctx, src, cfg, func() (func([]fault.Fault, []uint64) error, func()) {
+		// The oracle: the generic driver pulls and filters chunks, the
+		// replay closure runs the full algorithm on its one-fault batch
+		// (so cancellation and work claims are per fault).
+		w, reps, err := sim.StreamShard(ctx, src, cfg, 1, func() (func([]fault.Fault, []uint64) error, func()) {
 			return func(batch []fault.Fault, det []uint64) error {
 				det[0] = 0
-				for i, f := range batch {
-					if d, _ := st.runner.Run(f.Inject(p.Memory())); d {
-						det[0] |= 1 << uint(i)
-					}
+				if d, _ := st.runner.Run(batch[0].Inject(p.Memory())); d {
+					det[0] = 1
 				}
 				return nil
 			}, nil
 		}, sink)
 		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: oracle streaming of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
+			panic(fmt.Sprintf("coverage: oracle run of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
-		return &EngineStats{Engine: EngineOracle, Workers: w, Reps: reps, Sink: SinkOrdered.String()}, err
+		return &EngineStats{Engine: EngineOracle, Workers: w, Reps: reps}, err
 	}
 }

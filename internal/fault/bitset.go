@@ -114,9 +114,6 @@ func NewBitView(faults []Fault, bits_ *BitSet) *BitView {
 // Len implements View.
 func (v *BitView) Len() int { return v.n }
 
-// Full implements View.
-func (v *BitView) Full() bool { return v.n == len(v.faults) }
-
 // sel returns the backing position of view position i (the i-th set
 // bit): binary search on the rank directory, select within the word.
 func (v *BitView) sel(i int) int {
@@ -142,43 +139,3 @@ func (v *BitView) At(i int) Fault { return v.faults[v.sel(i)] }
 
 // Index implements View.
 func (v *BitView) Index(i int) int { return v.sel(i) }
-
-// Batch implements View: positions [lo, hi) gathered into scratch (the
-// backing subslice directly when the view is full).
-func (v *BitView) Batch(scratch []Fault, lo, hi int) []Fault {
-	if v.Full() {
-		return v.faults[lo:hi]
-	}
-	scratch = scratch[:0]
-	if hi <= lo {
-		return scratch
-	}
-	pos := v.sel(lo)
-	w, word := pos>>6, v.words[pos>>6]
-	word &= ^uint64(0) << (uint(pos) & 63) // drop bits before the first
-	for len(scratch) < hi-lo {
-		for word == 0 {
-			w++
-			word = v.words[w]
-		}
-		scratch = append(scratch, v.faults[w*64+bits.TrailingZeros64(word)])
-		word &= word - 1
-	}
-	return scratch
-}
-
-// Where implements View: the kept positions as an index view onto the
-// same backing slice.
-func (v *BitView) Where(keep func(i int) bool) View {
-	idx := make([]int32, 0, v.n)
-	pos := 0
-	for w, word := range v.words {
-		for ; word != 0; word &= word - 1 {
-			if keep(pos) {
-				idx = append(idx, int32(w*64+bits.TrailingZeros64(word)))
-			}
-			pos++
-		}
-	}
-	return sliceView{faults: v.faults, idx: idx}
-}

@@ -204,55 +204,28 @@ func TestBitSet(t *testing.T) {
 func TestBitViewMatchesWhere(t *testing.T) {
 	faults := SingleCellUniverse(10, 1) // 40 faults
 	keep := func(i int) bool { return i%3 != 1 }
-	want := Span(faults).Where(keep)
+	var want []int
 	bits := NewBitSet(len(faults))
 	for i := range faults {
 		if keep(i) {
 			bits.Set(i)
+			want = append(want, i)
 		}
 	}
 	v := NewBitView(faults, bits)
-	if v.Full() || v.Len() != want.Len() {
-		t.Fatalf("bitview: full=%v len=%d want %d", v.Full(), v.Len(), want.Len())
+	if v.Len() != len(want) {
+		t.Fatalf("bitview: len=%d want %d", v.Len(), len(want))
 	}
-	for i := 0; i < want.Len(); i++ {
-		if v.At(i) != want.At(i) || v.Index(i) != want.Index(i) {
+	for i, u := range want {
+		if v.At(i) != faults[u] || v.Index(i) != u {
 			t.Fatalf("position %d: At=%v Index=%d, want At=%v Index=%d",
-				i, v.At(i), v.Index(i), want.At(i), want.Index(i))
-		}
-	}
-	scratch := make([]Fault, 0, 8)
-	for lo := 0; lo < v.Len(); lo += 7 {
-		hi := lo + 7
-		if hi > v.Len() {
-			hi = v.Len()
-		}
-		got := v.Batch(scratch, lo, hi)
-		ref := want.Batch(nil, lo, hi)
-		if len(got) != len(ref) {
-			t.Fatalf("batch [%d,%d): len %d want %d", lo, hi, len(got), len(ref))
-		}
-		for j := range got {
-			if got[j] != ref[j] {
-				t.Fatalf("batch [%d,%d) pos %d: %v want %v", lo, hi, j, got[j], ref[j])
-			}
-		}
-	}
-	// Where composes onto the original backing indices.
-	sub := v.Where(func(i int) bool { return i%2 == 0 })
-	wantSub := want.Where(func(i int) bool { return i%2 == 0 })
-	if sub.Len() != wantSub.Len() {
-		t.Fatalf("where len %d want %d", sub.Len(), wantSub.Len())
-	}
-	for i := 0; i < sub.Len(); i++ {
-		if sub.Index(i) != wantSub.Index(i) {
-			t.Fatalf("where pos %d: index %d want %d", i, sub.Index(i), wantSub.Index(i))
+				i, v.At(i), v.Index(i), faults[u], u)
 		}
 	}
 	// The view snapshots the bitmap: clearing a bit afterwards does not
 	// move it.
 	bits.Clear(v.Index(0))
-	if v.Len() != want.Len() {
+	if v.Len() != len(want) {
 		t.Fatal("BitView tracked a post-construction BitSet mutation")
 	}
 }
@@ -264,12 +237,13 @@ func TestBitViewFullAliasesBacking(t *testing.T) {
 		bits.Set(i)
 	}
 	v := NewBitView(faults, bits)
-	if !v.Full() || v.Len() != len(faults) {
-		t.Fatalf("full bitview: full=%v len=%d", v.Full(), v.Len())
+	if v.Len() != len(faults) {
+		t.Fatalf("full bitview: len=%d", v.Len())
 	}
-	b := v.Batch(nil, 3, 9)
-	if len(b) != 6 || &b[0] != &faults[3] {
-		t.Error("full BitView Batch must alias the backing slice")
+	for i := range faults {
+		if v.Index(i) != i || v.At(i) != faults[i] {
+			t.Fatalf("full bitview position %d: Index=%d", i, v.Index(i))
+		}
 	}
 	// Bits beyond the backing slice are ignored.
 	bits.Set(len(faults) + 5)

@@ -2,33 +2,47 @@ package fault
 
 import "testing"
 
+// keepView is the BitView of the positions keep accepts.
+func keepView(faults []Fault, keep func(i int) bool) View {
+	bits := NewBitSet(len(faults))
+	for i := range faults {
+		if keep(i) {
+			bits.Set(i)
+		}
+	}
+	return NewBitView(faults, bits)
+}
+
 func TestViewSpanIsIdentity(t *testing.T) {
 	faults := SingleCellUniverse(4, 1)
 	v := Span(faults)
-	if !v.Full() || v.Len() != len(faults) {
-		t.Fatalf("span: full=%v len=%d want %d", v.Full(), v.Len(), len(faults))
+	if v.Len() != len(faults) {
+		t.Fatalf("span: len=%d want %d", v.Len(), len(faults))
 	}
 	for i := range faults {
 		if v.At(i) != faults[i] || v.Index(i) != i {
 			t.Fatalf("position %d: At=%v Index=%d", i, v.At(i), v.Index(i))
 		}
 	}
-	// Full-view batches are backing subslices, not copies.
-	b := v.Batch(nil, 3, 7)
-	if len(b) != 4 || &b[0] != &faults[3] {
-		t.Error("full-view Batch must alias the backing slice")
-	}
 }
 
+// TestViewWhereComposes: narrowing a survivor view again — the session
+// clearing later detections from the same bitmap — keeps indices as
+// positions in the ORIGINAL slice, not in the intermediate view.
 func TestViewWhereComposes(t *testing.T) {
 	faults := SingleCellUniverse(8, 1) // 32 faults
-	even := Span(faults).Where(func(i int) bool { return i%2 == 0 })
-	if even.Full() || even.Len() != 16 {
-		t.Fatalf("even view: full=%v len=%d", even.Full(), even.Len())
+	bits := NewBitSet(len(faults))
+	for i := 0; i < len(faults); i += 2 {
+		bits.Set(i)
 	}
-	// Second narrowing: indices must stay positions in the ORIGINAL
-	// slice (0, 4, 8, ...), not positions in the intermediate view.
-	fourth := even.Where(func(i int) bool { return i%2 == 0 })
+	even := NewBitView(faults, bits)
+	if even.Len() != 16 {
+		t.Fatalf("even view len = %d", even.Len())
+	}
+	for i := 1; i < even.Len(); i += 2 {
+		bits.Clear(even.Index(i))
+	}
+	fourth := NewBitView(faults, bits)
 	if fourth.Len() != 8 {
 		t.Fatalf("fourth view len = %d", fourth.Len())
 	}
@@ -36,11 +50,6 @@ func TestViewWhereComposes(t *testing.T) {
 		if want := 4 * i; fourth.Index(i) != want || fourth.At(i) != faults[want] {
 			t.Fatalf("position %d: Index=%d want %d", i, fourth.Index(i), want)
 		}
-	}
-	scratch := make([]Fault, 0, 4)
-	b := fourth.Batch(scratch, 2, 5)
-	if len(b) != 3 || b[0] != faults[8] || b[2] != faults[16] {
-		t.Fatalf("gathered batch wrong: %v", b)
 	}
 }
 
@@ -50,7 +59,7 @@ func TestViewWhereComposes(t *testing.T) {
 func TestCollapseViewMatchesCollapseOnSubset(t *testing.T) {
 	faults := SingleCellUniverse(6, 1)
 	faults = append(faults, faults[:4]...) // duplicates collapse
-	v := Span(faults).Where(func(i int) bool { return i%3 != 0 })
+	v := keepView(faults, func(i int) bool { return i%3 != 0 })
 	gathered := make([]Fault, 0, v.Len())
 	for i := 0; i < v.Len(); i++ {
 		gathered = append(gathered, v.At(i))
@@ -98,7 +107,7 @@ func TestCollapseViewDropsDeadRepresentatives(t *testing.T) {
 	if len(full.Reps) != 2 {
 		t.Fatalf("full collapse reps = %d, want 2", len(full.Reps))
 	}
-	v := Span(faults).Where(func(i int) bool { return i == 2 })
+	v := keepView(faults, func(i int) bool { return i == 2 })
 	col := CollapseView(v, nil)
 	if len(col.Reps) != 1 || col.Reps[0] != faults[2] {
 		t.Fatalf("dead class not dropped: reps = %v", col.Reps)

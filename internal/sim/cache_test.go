@@ -119,9 +119,10 @@ func TestArenaPoolRetargets(t *testing.T) {
 	np.Put(c)
 }
 
-// TestShardsViewMatchesFullRun: subset replay must return, per view
-// position, exactly the full run's verdict at that universe index —
-// for the interpreter and the compiled engine (pooled and unpooled).
+// TestShardsViewMatchesFullRun: a Drop-filtered stream must deliver
+// exactly the kept universe indices, each with the full run's verdict
+// at that index — for the interpreter and the compiled engine (pooled
+// and unpooled).
 func TestShardsViewMatchesFullRun(t *testing.T) {
 	const n = 48
 	tr := recordMarch(t, march.MATSPlus(), n) // imperfect coverage: mixed verdicts
@@ -131,29 +132,42 @@ func TestShardsViewMatchesFullRun(t *testing.T) {
 	}
 	faults := fault.StandardUniverse(n, 1, 8, 17).Faults
 	ctx := context.Background()
-	full, _, err := ShardsCompiled(ctx, p, faults, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := replayRef(t, p, faults)
 	// A ragged subset crossing batch boundaries.
-	v := fault.Span(faults).Where(func(i int) bool { return i%3 != 1 })
+	drop := fault.NewBitSet(len(faults))
+	kept := 0
+	for i := range faults {
+		if i%3 == 1 {
+			drop.Set(i)
+		} else {
+			kept++
+		}
+	}
 	var pool ArenaPool
-	for name, run := range map[string]func() ([]bool, int, error){
-		"bitpar":        func() ([]bool, int, error) { return ShardsView(ctx, tr, v, 3) },
-		"compiled":      func() ([]bool, int, error) { return ShardsCompiledView(ctx, p, v, 3, nil) },
-		"compiled+pool": func() ([]bool, int, error) { return ShardsCompiledView(ctx, p, v, 3, &pool) },
+	for name, run := range map[string]func(fault.Source, ChunkSink) (int, int, error){
+		"bitpar": func(src fault.Source, sink ChunkSink) (int, int, error) {
+			return ShardsStream(ctx, tr, src, StreamConfig{Workers: 3, Drop: drop}, sink)
+		},
+		"compiled": func(src fault.Source, sink ChunkSink) (int, int, error) {
+			return ShardsCompiledStream(ctx, p, src, StreamConfig{Workers: 3, Drop: drop}, sink)
+		},
+		"compiled+pool": func(src fault.Source, sink ChunkSink) (int, int, error) {
+			return ShardsCompiledStream(ctx, p, src, StreamConfig{Workers: 3, Drop: drop, Arenas: &pool}, sink)
+		},
 	} {
-		got, _, err := run()
-		if err != nil {
+		cs := newCollectSink()
+		if _, _, err := run(fault.SliceSource(faults), cs.sink); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != v.Len() {
-			t.Fatalf("%s: %d verdicts for a %d-fault view", name, len(got), v.Len())
+		if cs.seen != kept {
+			t.Fatalf("%s: %d verdicts for %d kept faults", name, cs.seen, kept)
 		}
-		for i := range got {
-			if got[i] != full[v.Index(i)] {
-				t.Errorf("%s: view fault %d (universe %d) = %v, full run says %v",
-					name, i, v.Index(i), got[i], full[v.Index(i)])
+		for u, d := range cs.det {
+			if drop.Get(u) {
+				t.Fatalf("%s: dropped fault %d was delivered", name, u)
+			}
+			if d != full[u] {
+				t.Errorf("%s: universe fault %d = %v, full run says %v", name, u, d, full[u])
 			}
 		}
 	}

@@ -1,15 +1,6 @@
 package sim
 
-import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/fault"
-	"repro/internal/telemetry"
-)
+import "repro/internal/fault"
 
 // BatchSize is the number of machines simulated per lane word — one
 // per bit.  A replay pass simulates BatchSize machines per lane word
@@ -27,164 +18,4 @@ func Batchable(faults []fault.Fault) bool {
 		}
 	}
 	return true
-}
-
-// shard partitions the view's faults into batchFaults-machine batches
-// (64 per lane word of the replay target) distributed across workers
-// goroutines (0 = GOMAXPROCS) with an atomic cursor.  Each goroutine
-// calls newWorker once for its private replay function (the compiled
-// path hangs a reusable Arena off it, returned through the done hook)
-// and then replays one batch per cursor claim, the verdicts landing in
-// a per-worker multi-word detection mask (det[j/64] bit j%64 reports
-// batch fault j).  Subset views gather each batch's fault headers into
-// a per-worker scratch and scatter the detection mask back by view
-// position — the lane remap that lets cross-test fault dropping replay
-// only survivors; full views replay backing subslices directly, as
-// before.  detected[i] reports view fault i; every batch writes a
-// disjoint slice segment, so the result is deterministic regardless of
-// the worker count.  A failing batch raises a shared stop flag so the
-// remaining workers short-circuit instead of completing their batches
-// uselessly.  The returned worker count is the effective one after
-// clamping to the batch count — what execution reports must cite, not
-// the requested value.
-//
-// Cancellation is cooperative at batch granularity: each claim checks
-// ctx (one non-blocking channel receive — free against the nil Done of
-// context.Background, and never inside the replay kernel).  On
-// cancellation every worker drains after its in-flight batch, the
-// partial detected slice is returned as computed so far, and the error
-// is ctx.Err() — callers distinguish interruption from replay failure
-// by errors.Is(err, context.Canceled/DeadlineExceeded).
-//
-//faultsim:hotpath
-func shard(ctx context.Context, v fault.View, workers, batchFaults int, newWorker func() (replay func(batch []fault.Fault, det []uint64) error, done func())) ([]bool, int, error) {
-	n := v.Len()
-	batches := (n + batchFaults - 1) / batchFaults
-	maskWords := batchFaults / BatchSize
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > batches {
-		workers = batches
-	}
-	detected := make([]bool, n) //faultsim:alloc-ok one result slice per shard call, amortized over the segment
-	reg := telemetry.Active()
-	ctxDone := ctx.Done()
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	errs := make([]error, workers) //faultsim:alloc-ok one slot per worker at startup
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) { //faultsim:alloc-ok worker startup: one goroutine and closure per worker
-			defer wg.Done() //faultsim:alloc-ok worker-lifetime defer
-			replay, done := newWorker()
-			if done != nil {
-				defer done() //faultsim:alloc-ok worker-lifetime defer
-			}
-			det := make([]uint64, maskWords) //faultsim:alloc-ok per-worker detection mask, reused by every batch
-			var scratch []fault.Fault
-			if !v.Full() {
-				scratch = make([]fault.Fault, 0, batchFaults) //faultsim:alloc-ok per-worker scratch, reused by every batch
-			}
-			// Telemetry: counters accumulate in the plain Local and flush
-			// into the padded per-worker slot once per batch; with no
-			// registry attached the whole path is one nil check per batch.
-			var tw *telemetry.Worker
-			var tl telemetry.Local
-			if reg != nil {
-				tw = reg.Worker(w)
-			}
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= batches || stop.Load() {
-					return
-				}
-				select {
-				case <-ctxDone:
-					return
-				default:
-				}
-				lo := b * batchFaults
-				hi := lo + batchFaults
-				if hi > n {
-					hi = n
-				}
-				var t0 time.Time
-				if tw != nil {
-					t0 = time.Now()
-				}
-				err := replay(v.Batch(scratch, lo, hi), det)
-				if tw != nil {
-					tl.KernelNanos += uint64(time.Since(t0))
-					tl.Batches++
-					tl.Faults += uint64(hi - lo)
-					tl.Reps += uint64(hi - lo)
-					reg.Flush(tw, &tl)
-				}
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				for i := lo; i < hi; i++ {
-					j := i - lo
-					detected[i] = det[j>>6]>>(uint(j)&63)&1 == 1
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, workers, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return detected, workers, err
-	}
-	return detected, workers, nil
-}
-
-// Shards replays the trace over the whole fault universe with the
-// per-batch interpreter (ReplayBatch), which rebuilds the machine array
-// for every batch.  It is the PR 1 reference path; ShardsCompiled is
-// the allocation-free fast path.  The int result is the effective
-// worker count after clamping to the batch count.
-func Shards(ctx context.Context, tr *Trace, faults []fault.Fault, workers int) ([]bool, int, error) {
-	return ShardsView(ctx, tr, fault.Span(faults), workers)
-}
-
-// ShardsView is Shards over an index-view of the fault slice:
-// detected[i] reports view fault i, so a session replaying only the
-// survivors of earlier tests passes the narrowed view instead of
-// rebuilding fault slices.
-func ShardsView(ctx context.Context, tr *Trace, v fault.View, workers int) ([]bool, int, error) {
-	return shard(ctx, v, workers, BatchSize, func() (func([]fault.Fault, []uint64) error, func()) {
-		return func(batch []fault.Fault, det []uint64) error {
-			mask, err := ReplayBatch(tr, batch)
-			det[0] = mask
-			return err
-		}, nil
-	})
-}
-
-// ShardsCompiled replays a compiled program over the whole fault
-// universe.  Each worker owns one reusable Arena, so steady-state
-// batches allocate nothing.  The int result is the effective worker
-// count after clamping to the batch count.
-func ShardsCompiled(ctx context.Context, p *Program, faults []fault.Fault, workers int) ([]bool, int, error) {
-	return ShardsCompiledView(ctx, p, fault.Span(faults), workers, nil)
-}
-
-// ShardsCompiledView is ShardsCompiled over an index-view of the fault
-// slice, optionally drawing worker arenas from a pool so a session's
-// consecutive programs reuse them (nil builds fresh arenas).
-func ShardsCompiledView(ctx context.Context, p *Program, v fault.View, workers int, arenas *ArenaPool) ([]bool, int, error) {
-	return shard(ctx, v, workers, p.BatchFaults(), func() (func([]fault.Fault, []uint64) error, func()) {
-		a := arenas.Get(p)
-		return func(batch []fault.Fault, det []uint64) error {
-			return p.ReplayInto(a, batch, det)
-		}, func() { arenas.Put(a) }
-	})
 }

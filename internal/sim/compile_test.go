@@ -277,19 +277,14 @@ func TestShardsCompiledMatchesAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.SingleCellUniverse(n, 1) // 128 faults = 2 batches
-	var ref []bool
+	ref := replayRef(t, p, faults)
 	for _, workers := range []int{1, 3, 8} {
-		got, _, err := ShardsCompiled(context.Background(), p, faults, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = got
-			continue
-		}
+		got := streamed(t, faults, func(src fault.Source, sink ChunkSink) (int, int, error) {
+			return ShardsCompiledStream(context.Background(), p, src, StreamConfig{Workers: workers}, sink)
+		})
 		for i := range ref {
 			if ref[i] != got[i] {
-				t.Fatalf("workers=%d: fault %d differs from single-worker result", workers, i)
+				t.Fatalf("workers=%d: fault %d differs from the per-batch replay", workers, i)
 			}
 		}
 	}
@@ -303,14 +298,17 @@ func TestShardsPropagateBatchErrors(t *testing.T) {
 	tr := recordMarch(t, march.MarchB(), n)
 	faults := fault.SingleCellUniverse(n, 1) // 2 batches
 	faults[BatchSize+3] = alienFault{}       // second batch fails injection
-	if _, _, err := Shards(context.Background(), tr, faults, 2); err == nil {
-		t.Fatal("Shards must propagate a failing batch")
+	ctx := context.Background()
+	cfg := StreamConfig{Workers: 2}
+	var discard ChunkSink = func(int, int, []int, []fault.Fault, []bool) {}
+	if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
+		t.Fatal("ShardsStream must propagate a failing batch")
 	}
 	p, err := Compile(tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ShardsCompiled(context.Background(), p, faults, 2); err == nil {
-		t.Fatal("ShardsCompiled must propagate a failing batch")
+	if _, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, discard); err == nil {
+		t.Fatal("ShardsCompiledStream must propagate a failing batch")
 	}
 }

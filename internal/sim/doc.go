@@ -35,10 +35,11 @@
 //     cancel in the register stay undetected, as in hardware.  A batch
 //     finishes early once all of its machines have detected.
 //
-//  3. Sharded campaigns (Shards): the fault universe is partitioned
-//     into 64-machine batches distributed over a worker pool with an
-//     atomic cursor; per-fault detection lands in disjoint slices, so
-//     results are deterministic regardless of worker count.
+//  3. The replay driver (stream.go): workers claim chunks of the
+//     fault universe from a fault.Source, replay them as 64-machine
+//     batches and hand each chunk's verdicts, keyed by universe index,
+//     to a sink — so results are deterministic regardless of worker
+//     count.  A materialized universe is a fault.SliceSource.
 //
 // On top of the per-batch interpreter sits the compiled pipeline, the
 // production fast path:
@@ -63,8 +64,9 @@
 //     the regime of the paper's Fig. 1a bit-oriented memories and the
 //     largest campaigns) or the generic word-oriented kernel.
 //
-//   - ShardsCompiled drives the batches with one arena per worker and
-//     a shared stop flag so a failing batch short-circuits the rest.
+//   - ShardsCompiledStream drives the batches with one arena per
+//     worker and a shared stop flag so a failing batch short-circuits
+//     the rest.
 //
 // Campaigns over a materialized universe can additionally collapse it
 // into exact equivalence classes (fault.Collapse, fed by
@@ -76,10 +78,11 @@
 // coverage's planner/executor, which runs several tests over one
 // universe with cross-test fault dropping):
 //
-//   - subset replay: ShardsView / ShardsCompiledView take an index
-//     view of the fault slice (fault.View) and scatter detections
-//     back through the lane remap, so the survivors of test k are the
-//     only faults replayed against test k+1 — no fault-slice copying;
+//   - survivor replay: StreamConfig.Drop filters each claimed chunk
+//     against a dropped-fault bitmap (fault.BitSet), and a
+//     materialized session streams the dense survivor (or
+//     representative) slice, so the survivors of test k are the only
+//     faults replayed against test k+1;
 //
 //   - a compiled-program cache (ProgramCache) keyed by (runner
 //     identity, memory geometry, initial-image hash), so repeated
@@ -91,11 +94,10 @@
 //     history shape) with a full state reset, and ArenaPool recycles
 //     arenas between a session's stages.
 //
-// On top of the sharded drivers sits the streaming layer (stream.go):
-// ShardsStream / ShardsCompiledStream pull the fault universe from a
-// fault.Source in fixed-size chunks instead of taking a materialized
-// slice, so a campaign's resident fault storage is O(chunk × workers)
-// — the universe size stops being a memory bound (the regime of
+// The drivers (ShardsStream, ShardsCompiledStream, StreamShard) pull
+// the fault universe from a fault.Source in fixed-size chunks, so a
+// streamed campaign's resident fault storage is O(chunk × workers) —
+// the universe size stops being a memory bound (the regime of
 // exhaustive multi-million-fault coupling universes, experiment E17).
 // Each worker owns one reusable chunk buffer plus its arena; chunks
 // are claimed under a source mutex, optionally filtered against a
@@ -108,8 +110,12 @@
 // delivered [base, base+n) keys.  Chunks are not collapsed: the
 // exhaustive families streamed here hold almost no equivalent faults
 // within a chunk, so a collapse pass would cost more than it saves.
-// StreamShard exposes the same loop over a caller-supplied replay
-// function (package coverage's chunked oracle).
+// When the source's Count is exact, the chunk is also capped so every
+// worker gets at least 16 chunks (in whole replay batches): a small
+// materialized stage still spreads across the pool, and no worker runs
+// long alone at the end of a stage.  StreamShard exposes the same loop
+// over a caller-supplied replay function and claim granule (package
+// coverage's oracle, one fault per claim).
 //
 // The streaming drivers offer two sink disciplines.  The serialized
 // path (ShardsStream, ShardsCompiledStream, StreamShard) delivers
@@ -128,13 +134,12 @@
 //
 // All drivers take a context.Context and cancel cooperatively at
 // batch/chunk granularity: the check is one non-blocking channel
-// receive per claim (free against context.Background's nil Done
-// channel, never inside the replay kernel), cancelled workers drain
-// after their in-flight batch, streaming drivers abandon the
-// interrupted chunk before its sink delivery (sinks only ever see
-// complete chunks), and the driver returns ctx.Err() alongside the
-// partial results — callers separate interruption from replay failure
-// with errors.Is.  StreamConfig.Base offsets delivered universe
+// receive per claim and per batch (free against context.Background's
+// nil Done channel, never inside the replay kernel), cancelled
+// workers abandon the interrupted chunk before its sink delivery
+// (sinks only ever see complete chunks), and the driver returns
+// ctx.Err() — callers separate interruption from replay failure with
+// errors.Is.  StreamConfig.Base offsets delivered universe
 // indices for checkpoint resume: the source is Skip()ed past the
 // completed prefix and Base set to the skip count.
 //

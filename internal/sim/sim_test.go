@@ -127,18 +127,22 @@ func TestShardsMatchesReplayBatchAcrossWorkerCounts(t *testing.T) {
 	tr := recordMarch(t, march.MarchB(), n)
 	faults := fault.SingleCellUniverse(n, 1) // 128 faults = 2 batches
 	var ref []bool
-	for _, workers := range []int{1, 3, 8} {
-		got, _, err := Shards(context.Background(), tr, faults, workers)
+	for lo := 0; lo < len(faults); lo += BatchSize {
+		mask, err := ReplayBatch(tr, faults[lo:lo+BatchSize])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = got
-			continue
+		for j := 0; j < BatchSize; j++ {
+			ref = append(ref, mask>>uint(j)&1 == 1)
 		}
+	}
+	for _, workers := range []int{1, 3, 8} {
+		got := streamed(t, faults, func(src fault.Source, sink ChunkSink) (int, int, error) {
+			return ShardsStream(context.Background(), tr, src, StreamConfig{Workers: workers}, sink)
+		})
 		for i := range ref {
 			if ref[i] != got[i] {
-				t.Fatalf("workers=%d: fault %d differs from single-worker result", workers, i)
+				t.Fatalf("workers=%d: fault %d differs from the per-batch replay", workers, i)
 			}
 		}
 	}

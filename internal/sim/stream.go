@@ -11,19 +11,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the streaming campaign layer: the fault universe is
+// This file is the campaign replay driver: the fault universe is
 // pulled from a fault.Source in fixed-size chunks instead of being
-// materialized as one slice, so a campaign's resident fault storage is
-// O(chunk × workers) — the universe size stops being a memory bound
-// and becomes pure simulation time.  Each worker owns one reusable
-// chunk buffer (plus, on the compiled path, its arena); chunks are
-// claimed from the source under a mutex, replayed as program-width
-// batches (64 machines per lane word), and the per-chunk verdicts
-// handed to a sink callback.  On the ordered path the driver
-// serializes sink calls behind one mutex, so sinks need no locking of
-// their own; on the unordered path (ShardsCompiledUnordered) each
-// worker owns a private sink and delivers lock-free — the caller
-// merges the per-worker sinks once after the drain.
+// handed over as one slice, so a streamed campaign's resident fault
+// storage is O(chunk × workers) — the universe size stops being a
+// memory bound and becomes pure simulation time.  Materialized
+// universes run on the same driver through fault.SliceSource.  Each
+// worker owns one reusable chunk buffer (plus, on the compiled path,
+// its arena); chunks are claimed from the source under a mutex,
+// replayed as program-width batches (64 machines per lane word), and
+// the per-chunk verdicts handed to a sink callback.  On the ordered
+// path the driver serializes sink calls behind one mutex, so sinks
+// need no locking of their own; on the unordered path
+// (ShardsCompiledUnordered) each worker owns a private sink and
+// delivers lock-free — the caller merges the per-worker sinks once
+// after the drain.
 // Chunk completion order is scheduling-dependent, but every chunk is
 // keyed by its universe index range, so any order-insensitive sink
 // (tallies, bitmaps) observes deterministic results — and an
@@ -46,7 +48,7 @@ const DefaultChunk = 8192
 // retain them.
 type ChunkSink func(base, n int, idx []int, faults []fault.Fault, detected []bool)
 
-// StreamConfig parameterizes one streaming shard run.  Streamed
+// StreamConfig parameterizes one replay driver run.  Streamed
 // chunks are never structurally collapsed: on the exhaustive families
 // a chunk holds almost no equivalent faults, so a collapse pass would
 // cost more than the replays it saves.  Collapsing is a property of
@@ -69,12 +71,20 @@ type StreamConfig struct {
 	Arenas *ArenaPool
 }
 
+// chunksPerWorker is the fewest chunks each worker gets from an input
+// of known size.  Claims must be fine enough that a stage does not end
+// with one worker replaying a long last chunk while the others idle.
+const chunksPerWorker = 16
+
 // sizes resolves the worker count and the per-worker chunk buffer
 // length.  When src knows its exact size, neither exceeds what the
-// stream can use: no more workers than chunks, no buffer longer than
-// the universe (a resumed source yields at most Count faults, so the
+// stream can use: the chunk is capped at 1/chunksPerWorker of one
+// worker's share of the input, rounded up to whole replay passes of
+// granule faults, so a small input still spreads over the pool; there
+// are no more workers than chunks and no buffer longer than the
+// universe (a resumed source yields at most Count faults, so the
 // bounds stay safe after a Skip).
-func (c StreamConfig) sizes(src fault.Source) (workers, chunk int) {
+func (c StreamConfig) sizes(src fault.Source, granule int) (workers, chunk int) {
 	workers, chunk = c.Workers, c.Chunk
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -83,7 +93,9 @@ func (c StreamConfig) sizes(src fault.Source) (workers, chunk int) {
 		chunk = DefaultChunk
 	}
 	if n, exact := src.Count(); exact {
-		chunk = max(1, min(chunk, n))
+		share := (n + chunksPerWorker*workers - 1) / (chunksPerWorker * workers)
+		share = (share + granule - 1) / granule * granule
+		chunk = max(1, min(chunk, share, n))
 		workers = max(1, min(workers, (n+chunk-1)/chunk))
 	}
 	return workers, chunk
@@ -91,19 +103,22 @@ func (c StreamConfig) sizes(src fault.Source) (workers, chunk int) {
 
 // StreamShard drives a streaming campaign over a generic replay
 // function: workers pull chunks from src, skip faults filtered by
-// cfg.Drop, replay the rest in 64-fault batches through their private
-// replay function (det[0] receives the batch's detection mask), and
-// deliver verdicts to sink.  It returns the effective worker count and
-// how many faults were simulated (after drop filtering).
+// cfg.Drop, replay the rest in batches of up to batchFaults faults
+// through their private replay function (det receives the batch's
+// detection mask, one word per 64 faults), and deliver verdicts to
+// sink.  batchFaults is also the claim granule that bounds the chunk
+// size of a small input (package coverage's oracle passes 1: one
+// algorithm run per fault).  It returns the effective worker count and how many
+// faults were simulated (after drop filtering).
 //
 // Cancellation is cooperative at batch granularity: ctx is checked on
 // every chunk claim and between the chunk's batches, an interrupted
 // chunk is abandoned without reaching the sink (the sink only ever
 // sees complete chunks), workers drain, and the error is ctx.Err().
-func StreamShard(ctx context.Context, src fault.Source, cfg StreamConfig,
+func StreamShard(ctx context.Context, src fault.Source, cfg StreamConfig, batchFaults int,
 	newWorker func() (replay func(batch []fault.Fault, det []uint64) error, done func()),
 	sink ChunkSink) (int, int, error) {
-	return streamShard(ctx, src, cfg, BatchSize, newWorker, sharedSink(sink), true)
+	return streamShard(ctx, src, cfg, batchFaults, newWorker, sharedSink(sink), true)
 }
 
 // sharedSink adapts a single serialized sink to the per-worker sink
@@ -113,8 +128,8 @@ func sharedSink(sink ChunkSink) func(worker int) ChunkSink {
 }
 
 // ShardsStream replays a recorded trace over a streaming universe with
-// the per-batch interpreter — the reference streaming path, mirroring
-// Shards.
+// the per-batch interpreter (ReplayBatch, which rebuilds the machine
+// array for every batch) — the reference replay path.
 func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamConfig, sink ChunkSink) (int, int, error) {
 	return streamShard(ctx, src, cfg, BatchSize, func() (func([]fault.Fault, []uint64) error, func()) {
 		return func(batch []fault.Fault, det []uint64) error {
@@ -161,17 +176,18 @@ func shardsCompiled(ctx context.Context, p *Program, src fault.Source, cfg Strea
 }
 
 // streamShard is the shared driver; batchFaults is the machines per
-// replay pass (the replay function's det buffer gets one word per
-// 64).  sinkFor builds worker w's sink once at worker startup; with
-// serialize the calls across all workers are additionally interlocked
-// behind one mutex (the ordered ChunkSink contract), without it each
-// worker calls its own sink lock-free (the unordered path).
+// replay pass (the replay function's det buffer gets one word per 64,
+// rounded up).  sinkFor builds worker w's sink once at worker startup;
+// with serialize the calls across all workers are additionally
+// interlocked behind one mutex (the ordered ChunkSink contract),
+// without it each worker calls its own sink lock-free (the unordered
+// path).
 //
 //faultsim:hotpath
 func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, batchFaults int,
 	newWorker func() (func([]fault.Fault, []uint64) error, func()),
 	sinkFor func(worker int) ChunkSink, serialize bool) (int, int, error) {
-	workers, chunk := cfg.sizes(src)
+	workers, chunk := cfg.sizes(src, batchFaults)
 	drop := cfg.Drop
 	ctxDone := ctx.Done()
 	var (
@@ -210,10 +226,10 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, batchF
 			if done != nil {
 				defer done() //faultsim:alloc-ok worker-lifetime defer
 			}
-			buf := make([]fault.Fault, chunk)             //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
-			idx := make([]int, chunk)                     //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
-			det := make([]bool, chunk)                    //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
-			mask := make([]uint64, batchFaults/BatchSize) //faultsim:alloc-ok per-worker detection mask, reused for every batch
+			buf := make([]fault.Fault, chunk)                           //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
+			idx := make([]int, chunk)                                   //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
+			det := make([]bool, chunk)                                  //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
+			mask := make([]uint64, (batchFaults+BatchSize-1)/BatchSize) //faultsim:alloc-ok per-worker detection mask, reused for every batch
 			// Telemetry: worker-local counters, flushed into the padded
 			// per-worker slot once per chunk.  The source-claim and
 			// sink-acquire waits are timed separately from the kernel so a

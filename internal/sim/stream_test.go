@@ -11,7 +11,7 @@ import (
 
 // collectSink gathers chunk verdicts back into universe order so the
 // streaming drivers can be compared position for position against the
-// materialized shard drivers.
+// per-batch reference.
 type collectSink struct {
 	det  map[int]bool
 	seen int
@@ -38,6 +38,75 @@ func (c *collectSink) indices() []int {
 	return out
 }
 
+// replayRef is the per-batch reference verdict vector: a width-1
+// program replayed (Program.Replay) over consecutive 64-fault batches
+// of the slice on one arena, no driver involved.
+func replayRef(t *testing.T, p *Program, faults []fault.Fault) []bool {
+	t.Helper()
+	a := NewArena(p)
+	det := make([]bool, len(faults))
+	for lo := 0; lo < len(faults); lo += BatchSize {
+		hi := min(lo+BatchSize, len(faults))
+		mask, err := p.Replay(a, faults[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := lo; i < hi; i++ {
+			det[i] = mask>>uint(i-lo)&1 == 1
+		}
+	}
+	return det
+}
+
+// streamed drives a slice source through run and returns the verdicts
+// in universe order, failing unless every index arrived exactly once.
+func streamed(t *testing.T, faults []fault.Fault, run func(fault.Source, ChunkSink) (int, int, error)) []bool {
+	t.Helper()
+	cs := newCollectSink()
+	if _, _, err := run(fault.SliceSource(faults), cs.sink); err != nil {
+		t.Fatal(err)
+	}
+	if cs.seen != len(faults) {
+		t.Fatalf("%d verdicts, want %d", cs.seen, len(faults))
+	}
+	det := make([]bool, len(faults))
+	for i, d := range cs.det {
+		det[i] = d
+	}
+	return det
+}
+
+// An exact-count input of three replay batches on two workers and the
+// default chunk must still be split across both workers (the chunk is
+// capped by the input, not only by DefaultChunk), and every universe
+// index must be delivered exactly once.
+func TestStreamSmallInputKeepsWorkers(t *testing.T) {
+	const n = 48
+	tr := recordMarch(t, march.MarchCMinus(), n)
+	p, err := Compile(tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.SingleCellUniverse(n, 1) // 192 faults = 3 batches
+	cs := newCollectSink()
+	w, reps, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
+		StreamConfig{Workers: 2}, cs.sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != 2 {
+		t.Errorf("Workers = %d, want 2 for 3 batches", w)
+	}
+	if cs.seen != len(faults) || reps != len(faults) {
+		t.Fatalf("delivered %d, simulated %d, want %d", cs.seen, reps, len(faults))
+	}
+	for i, u := range cs.indices() {
+		if u != i {
+			t.Fatalf("index %d missing from the delivered set", i)
+		}
+	}
+}
+
 func TestStreamDriversMatchShardDrivers(t *testing.T) {
 	const n = 33
 	tr := recordMarch(t, march.MarchCMinus(), n)
@@ -47,10 +116,7 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 	}
 	faults := fault.StandardUniverse(n, 1, 6, 9).Faults
 	ctx := context.Background()
-	wantDet, _, err := ShardsCompiled(ctx, p, faults, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantDet := replayRef(t, p, faults)
 	for _, chunk := range []int{1, 7, 100, 4096} {
 		cs := newCollectSink()
 		_, reps, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
@@ -118,10 +184,7 @@ func TestStreamDropFilter(t *testing.T) {
 		}
 	}
 	// Verdicts of the survivors equal the full replay's.
-	full, _, err := ShardsCompiled(context.Background(), p, faults, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := replayRef(t, p, faults)
 	for i, d := range cs.det {
 		if d != full[i] {
 			t.Fatalf("fault %d: filtered verdict %v, full %v", i, d, full[i])

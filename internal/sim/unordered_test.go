@@ -21,10 +21,7 @@ func TestUnorderedMatchesOrdered(t *testing.T) {
 	}
 	faults := fault.StandardUniverse(n, 1, 6, 9).Faults
 	ctx := context.Background()
-	wantDet, _, err := ShardsCompiled(ctx, p, faults, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantDet := replayRef(t, p, faults)
 	for _, chunk := range []int{1, 7, 100, 4096} {
 		const workers = 4
 		sinks := make([]*collectSink, workers)
@@ -37,9 +34,14 @@ func TestUnorderedMatchesOrdered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The pool is clamped to the chunk count; every effective
-		// worker gets a sink, no idle one is started.
-		if chunks := (len(faults) + chunk - 1) / chunk; w != min(workers, chunks) {
+		// The chunk is capped at 1/chunksPerWorker of one worker's
+		// share, rounded up to a whole batch; the pool is clamped to the
+		// resulting chunk count.  Every effective worker gets a sink, no
+		// idle one is started.
+		share := (len(faults) + chunksPerWorker*workers - 1) / (chunksPerWorker * workers)
+		share = (share + BatchSize - 1) / BatchSize * BatchSize
+		eff := min(chunk, share, len(faults))
+		if chunks := (len(faults) + eff - 1) / eff; w != min(workers, chunks) {
 			t.Fatalf("chunk=%d: %d workers for %d chunks", chunk, w, chunks)
 		}
 		merged := newCollectSink()

@@ -96,10 +96,10 @@ func TestWideKernelMatchesWidth1(t *testing.T) {
 	}
 }
 
-// TestWideShardsCompiledMatchesWidth1 runs the full shard driver over
-// wide programs: verdict slices must be identical to the single-word
-// drive at every worker count (batch boundaries move with the width,
-// worker interleaving with the count — neither may show).
+// TestWideShardsCompiledMatchesWidth1 runs the compiled driver over
+// wide programs: verdicts must be identical to the single-word
+// per-batch replay at every worker count (batch boundaries move with
+// the width, worker interleaving with the count — neither may show).
 func TestWideShardsCompiledMatchesWidth1(t *testing.T) {
 	const n = 32
 	tr := recordMarch(t, march.MarchB(), n)
@@ -109,20 +109,16 @@ func TestWideShardsCompiledMatchesWidth1(t *testing.T) {
 	}
 	faults := fault.StandardUniverse(n, 1, 8, 11).Faults
 	ctx := context.Background()
-	ref, _, err := ShardsCompiled(ctx, p1, faults, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := replayRef(t, p1, faults)
 	for _, w := range []int{4, 8} {
 		pw, err := Compile(tr, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			got, _, err := ShardsCompiled(ctx, pw, faults, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := streamed(t, faults, func(src fault.Source, sink ChunkSink) (int, int, error) {
+				return ShardsCompiledStream(ctx, pw, src, StreamConfig{Workers: workers}, sink)
+			})
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Fatalf("w=%d workers=%d: fault %d differs from width-1 verdict", w, workers, i)
@@ -144,10 +140,7 @@ func TestWideStreamMatchesWidth1(t *testing.T) {
 	}
 	faults := fault.StandardUniverse(n, 1, 6, 9).Faults
 	ctx := context.Background()
-	ref, _, err := ShardsCompiled(ctx, p1, faults, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := replayRef(t, p1, faults)
 	for _, w := range []int{4, 8} {
 		pw, err := Compile(tr, w)
 		if err != nil {

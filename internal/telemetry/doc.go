@@ -1,7 +1,7 @@
 // Package telemetry is the campaign instrumentation layer: cheap,
 // race-clean counters threaded through the simulation engines
-// (sim.Shards*, the streaming drivers, the program cache, the arena
-// pool, fault collapsing) and the coverage session executors.
+// (the sim replay drivers, the program cache, the arena pool, fault
+// collapsing) and the coverage session executors.
 //
 // # Design
 //
@@ -14,9 +14,9 @@
 //
 //   - Per-worker flush slots (Worker): cache-line-padded blocks of
 //     atomic counters, one per worker index.  A worker flushes its
-//     Local into its slot once per batch (materialized drivers) or once
-//     per chunk (streaming drivers) — a handful of uncontended atomic
-//     adds amortized over 64..8192 faults.  False sharing is kept off
+//     Local into its slot once per chunk — a handful of uncontended
+//     atomic adds amortized over the chunk's faults (up to 8192 by
+//     default).  False sharing is kept off
 //     the table by the padding.
 //
 //   - Aggregation on read (Snapshot): readers sum the slots (plus the
@@ -26,7 +26,7 @@
 //
 // When no Registry is attached (telemetry.Active() == nil) the
 // instrumented drivers skip every timestamp and counter behind a single
-// nil check per batch, so the instrumentation is compiled in but
+// nil check per chunk, so the instrumentation is compiled in but
 // near-free — BenchmarkTelemetryOverhead guards the bound (<2% on the
 // compiled campaign path).
 //

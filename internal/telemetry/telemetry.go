@@ -38,8 +38,8 @@ const (
 
 // Local is one worker's private counter accumulation.  It is plain
 // data: the worker increments it with ordinary arithmetic on the hot
-// path and flushes it into its padded Registry slot once per batch or
-// chunk (Registry.Flush), which zeroes it again.
+// path and flushes it into its padded Registry slot once per chunk
+// (Registry.Flush), which zeroes it again.
 type Local struct {
 	Faults, Reps, Batches, Chunks                          uint64
 	KernelNanos, SinkWaitNanos, SinkNanos, SourceWaitNanos uint64
@@ -143,7 +143,7 @@ var active atomic.Pointer[Registry]
 func SetActive(r *Registry) { active.Store(r) }
 
 // Active returns the attached registry, or nil.  Hot paths load it
-// once per shard run and branch on the nil.
+// once per driver run and branch on the nil.
 func Active() *Registry { return active.Load() }
 
 // Worker returns the flush slot for worker index i, growing the slot
@@ -163,8 +163,8 @@ func (r *Registry) Worker(i int) *Worker {
 	return r.workers[i]
 }
 
-// Flush adds l into w's slot and zeroes l.  Called once per batch or
-// chunk by the owning worker; it also drives the rate-limited progress
+// Flush adds l into w's slot and zeroes l.  Called once per chunk by
+// the owning worker; it also drives the rate-limited progress
 // emission.
 func (r *Registry) Flush(w *Worker, l *Local) {
 	if r == nil || w == nil {
