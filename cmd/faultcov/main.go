@@ -113,7 +113,6 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/fault"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -179,7 +178,6 @@ func main() {
 	session := flag.Bool("session", false, "print one summary line per campaign session with survivors after each stage")
 	seed := flag.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
 	chunk := flag.Int("chunk", 0, "faults per pull of streaming campaigns, at least 1 (omit the flag for the engine default)")
-	lanes := flag.Int("lanes", 64, "machines simulated per compiled replay batch: 64, 256 or 512 (wide lanes trade arena size for per-pass throughput)")
 	exhaustiveCF := flag.Bool("exhaustive-cf", false, "run E17 over the full-scale exhaustive coupling universes (millions of fault instances, streaming engine only)")
 	progress := flag.Bool("progress", false, "stream live campaign progress (faults/s, ETA, survivors) and per-stage engine reports to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060) for the duration of the run")
@@ -231,11 +229,6 @@ func main() {
 	if *merge && *resume {
 		fail("-resume is meaningless with -merge (with -merge, -checkpoint names the output file)")
 	}
-	laneWords, err := sim.LaneWordsForMachines(*lanes)
-	if err != nil {
-		fail("-lanes: %v", err)
-	}
-
 	eng, err := coverage.ParseEngine(*engine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faultcov: %v\n", err)
@@ -259,7 +252,6 @@ func main() {
 	coverage.SetCollapse(*collapse)
 	coverage.SetDefaultDrop(*drop)
 	coverage.SetDefaultChunk(*chunk)
-	coverage.SetDefaultLaneWords(laneWords)
 	if partCnt > 0 {
 		coverage.SetDefaultPartition(partIdx, partCnt)
 	}
@@ -375,8 +367,8 @@ func main() {
 		if partCnt > 0 {
 			partLabel = fmt.Sprintf(" partition=%d/%d", partIdx, partCnt)
 		}
-		fmt.Printf("# engine=%s workers=%d lanes=%d collapse=%v drop=%v seed=%s chunk=%d%s\n\n",
-			eng, effWorkers, *lanes, *collapse, *drop, seedLabel, coverage.DefaultChunk(), partLabel)
+		fmt.Printf("# engine=%s workers=%d lanes=auto collapse=%v drop=%v seed=%s chunk=%d%s\n\n",
+			eng, effWorkers, *collapse, *drop, seedLabel, coverage.DefaultChunk(), partLabel)
 	}
 
 	id := strings.ToLower(*exp)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/march"
 	"repro/internal/prt"
 	"repro/internal/ram"
+	"repro/internal/sim"
 )
 
 // Runner is a memory test algorithm under evaluation.
@@ -118,30 +119,11 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// defaultLaneWords is the lane width (in 64-machine words) campaigns
-// compile at when the plan leaves LaneWords unset; its own zero value
-// defers to 1 — the classic 64-machine configuration.
-var defaultLaneWords atomic.Int32
-
-// SetDefaultLaneWords fixes the lane width campaigns compile at when
-// the plan leaves LaneWords unset (the -lanes flag, converted from
-// machines to words); w <= 0 restores the single-word default.  w must
-// be a width sim.Compile accepts (1, 4 or 8) — prepareStage panics on
-// an unsupported width, so CLI callers validate first.
-func SetDefaultLaneWords(w int) {
-	if w <= 0 {
-		w = 1
-	}
-	defaultLaneWords.Store(int32(w))
-}
-
-// DefaultLaneWords returns the effective default lane width in words.
-func DefaultLaneWords() int {
-	if w := int(defaultLaneWords.Load()); w > 0 {
-		return w
-	}
-	return 1
-}
+// DefaultLaneWords is the lane width, in 64-machine words, that
+// compiled stages large enough to use it run at: sim.MaxLaneWords.  A
+// plan that leaves LaneWords unset picks each session's width from its
+// size (sim.LaneWordsFor), so small stages compile narrower.
+func DefaultLaneWords() int { return sim.MaxLaneWords }
 
 // defaultCtx, when set, is the ambient context campaigns invoked
 // through the context-less entry points (Plan.Run, Campaign, Compare,
@@ -309,7 +291,8 @@ type EngineStats struct {
 	ProgramOps int
 	TrimmedOps int
 	// LaneWords is the lane width the stage's program was compiled at
-	// (64-machine words per lane; compiled engine only) and FusedOps
+	// (64-machine words per lane; compiled engine only) — Plan.LaneWords
+	// when pinned, else chosen from the session's size — and FusedOps
 	// how many of its instructions are read-check-write super-ops.
 	LaneWords int
 	FusedOps  int

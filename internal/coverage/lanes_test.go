@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -111,43 +110,58 @@ func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestDefaultLaneWordsKnob: the process default resolves exactly like
-// the other campaign knobs — plan value wins, unset defers to the
-// default, invalid restores 1.
-func TestDefaultLaneWordsKnob(t *testing.T) {
-	defer SetDefaultLaneWords(0)
-	if DefaultLaneWords() != 1 {
-		t.Fatalf("zero-value default = %d, want 1", DefaultLaneWords())
-	}
-	SetDefaultLaneWords(4)
-	if DefaultLaneWords() != 4 {
-		t.Fatalf("after SetDefaultLaneWords(4): %d", DefaultLaneWords())
-	}
-	p := &Plan{}
-	if p.laneWords() != 4 {
-		t.Fatalf("unset plan resolves %d, want the default 4", p.laneWords())
-	}
-	p.LaneWords = 8
-	if p.laneWords() != 8 {
-		t.Fatalf("explicit plan resolves %d, want 8", p.laneWords())
-	}
-	SetDefaultLaneWords(-3)
-	if DefaultLaneWords() != 1 {
-		t.Fatalf("invalid default resolves %d, want 1", DefaultLaneWords())
-	}
+// inexactSource hides a source's length: Count reports its total as a
+// capacity hint only.
+type inexactSource struct{ fault.Source }
 
-	// The default is what cache keys and compilation actually consume:
-	// a session run under the knob reports the width in its stats.
-	SetDefaultLaneWords(4)
-	u := womUniverses(16, 4)[0]
-	s := (&Plan{
-		Runners:  []Runner{MarchRunner(march.MATSPlus(), march.DataBackgrounds(4))},
-		Universe: u, Memory: womFactory(16, 4), Engine: EngineCompiled,
-	}).Run()
-	if got := s.Stages[0].Stats.LaneWords; got != 4 {
-		t.Fatalf("session under SetDefaultLaneWords(4) compiled at %d words", got)
+func (s inexactSource) Count() (int, bool) {
+	n, _ := s.Source.Count()
+	return n, false
+}
+
+// TestLaneWidthFromSessionSize: an unset Plan.LaneWords compiles at the
+// width sim.LaneWordsFor picks from the session's size — 8 words for a
+// universe that gives both workers 16 full 512-machine batches, 4 for
+// half of it (a partition), 1 for a small one and for a stream of
+// unknown length — and an explicit LaneWords wins over the rule.
+func TestLaneWidthFromSessionSize(t *testing.T) {
+	runners := []Runner{MarchRunner(march.MarchCMinus(), nil)}
+	materialized := func(n, lanes int) *Plan {
+		u := fault.Universe{Name: "cf", Faults: fault.Collect(fault.FullCouplingSource(n))}
+		return &Plan{
+			Runners: runners, Universe: u, Memory: bomFactory(n),
+			Workers: 2, Engine: EngineCompiled, LaneWords: lanes,
+		}
 	}
-	if !reflect.DeepEqual(s.Cumulative.ByClass, s.Results[0].ByClass) {
-		t.Fatal("single-runner session cumulative disagrees with its only result")
+	streamed := func(n int, src fault.Source) *Plan {
+		return &Plan{
+			Runners: runners, Stream: &fault.Stream{Name: "cf", Source: src},
+			Memory: bomFactory(n), Workers: 2, Engine: EngineCompiled,
+		}
+	}
+	halve := func(p *Plan) *Plan {
+		p.PartitionIndex, p.PartitionCount = 1, 2
+		return p
+	}
+	for _, tc := range []struct {
+		label string
+		plan  *Plan
+		want  int
+	}{
+		{"20K materialized", materialized(42, 0), 8},
+		{"1K materialized", materialized(10, 0), 1},
+		{"20K materialized, LaneWords=4", materialized(42, 4), 4},
+		{"1K materialized, LaneWords=8", materialized(10, 8), 8},
+		{"20K exact stream", streamed(42, fault.FullCouplingSource(42)), 8},
+		{"20K exact stream, partition 1/2", halve(streamed(42, fault.FullCouplingSource(42))), 4},
+		{"20K inexact stream", streamed(42, inexactSource{fault.FullCouplingSource(42)}), 1},
+	} {
+		s := tc.plan.Run()
+		if got := s.Stages[0].Stats.LaneWords; got != tc.want {
+			t.Errorf("%s: compiled at %d lane words, want %d", tc.label, got, tc.want)
+		}
+		if s.Results[0].Coverage() != 1 {
+			t.Errorf("%s: March C- coupling coverage %.4f, want 1", tc.label, s.Results[0].Coverage())
+		}
 	}
 }

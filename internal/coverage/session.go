@@ -116,9 +116,12 @@ type Plan struct {
 	// Workers caps the campaign goroutines (<= 0 means the package
 	// default).
 	Workers int
-	// LaneWords is the lane width compiled programs use, in 64-machine
-	// words (1, 4 or 8 — i.e. 64, 256 or 512 machines per batch; <= 0
-	// means the package default, see SetDefaultLaneWords).  Only the
+	// LaneWords pins the lane width compiled programs use, in 64-machine
+	// words (1, 4 or 8 — i.e. 64, 256 or 512 machines per batch).  <= 0
+	// picks the width from the session's size: the widest at which
+	// every worker still gets enough full batches (sim.LaneWordsFor
+	// over the universe, or over a stream's exact count after
+	// partitioning; a stream of unknown length runs 64-wide).  Only the
 	// compiled engine is affected; the interpreter and oracle always
 	// run 64-wide.
 	LaneWords int
@@ -601,12 +604,27 @@ func (p *Plan) prepareStage(r Runner, index int, batchable bool) *stage {
 }
 
 // laneWords resolves the plan's effective compiled lane width in
-// 64-machine words.
+// 64-machine words (see Plan.LaneWords).
 func (p *Plan) laneWords() int {
 	if p.LaneWords > 0 {
 		return p.LaneWords
 	}
-	return DefaultLaneWords()
+	workers := p.Workers
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
+	if p.Stream == nil {
+		return sim.LaneWordsFor(len(p.Universe.Faults), workers)
+	}
+	n, exact := p.Stream.Source.Count()
+	if !exact {
+		return 1
+	}
+	if idx, cnt := p.partitionSpec(); cnt > 0 {
+		lo, hi := fault.PartitionRange(n, idx-1, cnt)
+		n = hi - lo
+	}
+	return sim.LaneWordsFor(n, workers)
 }
 
 // runClean measures the clean baseline for oracle-path stages.

@@ -8,7 +8,11 @@
 
 package fault
 
-import "repro/internal/ram"
+import (
+	"slices"
+
+	"repro/internal/ram"
+)
 
 // This file is the streaming side of the universe builders: a Source
 // is a pull-based fault generator that yields a universe in bounded
@@ -55,20 +59,24 @@ type Stream struct {
 // the materialized universe constructors.
 func Collect(s Source) []Fault {
 	s.Reset()
-	var out []Fault
-	if n, exact := s.Count(); exact {
-		out = make([]Fault, 0, n)
+	defer s.Reset()
+	n, exact := s.Count()
+	if !exact {
+		n = 4096
 	}
-	buf := make([]Fault, 4096)
+	// The source fills spare capacity in place; an exact count sizes
+	// the result once.
+	out := make([]Fault, 0, n)
 	for {
-		n, ok := s.Next(buf)
-		out = append(out, buf[:n]...)
+		if len(out) == cap(out) {
+			out = slices.Grow(out, 4096)
+		}
+		got, ok := s.Next(out[len(out):cap(out)])
+		out = out[:len(out)+got]
 		if !ok {
-			break
+			return out
 		}
 	}
-	s.Reset()
-	return out
 }
 
 // genSource adapts an index-addressable family — count faults, the

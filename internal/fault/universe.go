@@ -143,22 +143,20 @@ func (u Universe) Len() int { return len(u.Faults) }
 // experiment harness for an n-cell, m-bit memory: all single-cell
 // faults, all stuck-open faults, decoder faults, adjacent-cell coupling
 // faults, and (for m >= 2) intra-word faults on every cell.
-// couplingSamples > 0 adds that many random long-distance pairs.
+// couplingSamples > 0 adds that many random long-distance pairs.  The
+// parts are assembled as sources, so the universe is allocated once, at
+// its exact size.
 func StandardUniverse(n, m, couplingSamples int, seed int64) Universe {
-	var fs []Fault
-	fs = append(fs, SingleCellUniverse(n, m)...)
-	fs = append(fs, StuckOpenUniverse(n)...)
-	fs = append(fs, DecoderUniverse(n)...)
 	pairs := AdjacentPairs(n)
 	if couplingSamples > 0 {
 		pairs = append(pairs, SamplePairs(n, m, couplingSamples, seed)...)
 	}
-	fs = append(fs, CouplingUniverse(pairs)...)
+	parts := []Source{SingleCellSource(n, m), StuckOpenSource(n), DecoderSource(n), CouplingSource(pairs)}
 	if m >= 2 {
-		fs = append(fs, IntraWordUniverse(n, m)...)
+		parts = append(parts, IntraWordSource(n, m))
 	}
 	return Universe{
 		Name:   fmt.Sprintf("standard(n=%d,m=%d,+%d pairs)", n, m, couplingSamples),
-		Faults: fs,
+		Faults: Collect(ConcatSource(parts...)),
 	}
 }

@@ -37,20 +37,29 @@ type Arena struct {
 	dirtyAt []uint32
 	epoch   uint32
 
-	// Hook tables, per (cell, lane group) — index cell*laneWords+g;
-	// hookedW/hookedR remember which entries the current batch hooked
-	// so reset truncates only those (keeping the slices' capacity for
-	// the next batch).  flags mirrors the tables' non-emptiness as one
-	// byte per cell (any group): the kernels' hot loops test it instead
-	// of loading 24-byte slice headers, keeping the lookup table
-	// cache-resident even at production memory sizes.
-	writeHooks [][]fault.WriteHook
-	readHooks  [][]fault.ReadHook
-	everyRead  [][]fault.ReadHook // per lane group
-	everyN     int                // total every-read hooks across groups
-	hookedW    []int32
-	hookedR    []int32
-	flags      []uint8
+	// Hook tables: one slab per hook kind, rebuilt per batch.  Entry e
+	// — cell*laneWords+g for (cell, lane group g), everyAt+g for group
+	// g's every-read hooks — owns wHooks/rHooks[span.lo:span.hi] in
+	// install order.  While inject runs, wSpan/rSpan[e].hi counts e's
+	// hooks and pendW/pendR queue them; seal then lays every entry out
+	// contiguously.  Resident hook state is O(hooks in one batch)
+	// whatever the lane width.  hookedW/hookedR remember which entries
+	// the current batch hooked so reset clears only those.  flags
+	// mirrors the (cell, group) entries' non-emptiness as one byte per
+	// cell (any group): the kernels' hot loops test it instead of
+	// loading spans, keeping the lookup table cache-resident even at
+	// production memory sizes.
+	wHooks  []fault.WriteHook
+	rHooks  []fault.ReadHook
+	wSpan   []span
+	rSpan   []span
+	pendW   []pending[fault.WriteHook]
+	pendR   []pending[fault.ReadHook]
+	everyAt int // rSpan index of lane group 0's every-read hooks
+	everyN  int // total every-read hooks across groups
+	hookedW []int32
+	hookedR []int32
+	flags   []uint8
 
 	hist []uint64 // read-history ring, maxBack*width*laneWords words
 	val  []uint64 // scratch: sensed lanes of the current read, [group][bit]
@@ -112,15 +121,15 @@ func (a *Arena) Retarget(p *Program) {
 	a.dirtyAt = grow(a.dirtyAt, p.size)
 	clear(a.dirtyAt)
 	a.epoch = 1
-	// Hook state from the previous program is dropped outright (clear
-	// nils the inner slices): the hooked lists may describe cells that
-	// no longer exist at the new size.
-	a.writeHooks = grow(a.writeHooks, p.size*W)
-	clear(a.writeHooks)
-	a.readHooks = grow(a.readHooks, p.size*W)
-	clear(a.readHooks)
-	a.everyRead = grow(a.everyRead, W)
-	clear(a.everyRead)
+	// Spans from the previous program are dropped outright (they may
+	// describe cells that no longer exist at the new size); the slabs
+	// and pending queues keep their capacity, and reset truncates them
+	// before the first batch.
+	a.everyAt = p.size * W
+	a.wSpan = grow(a.wSpan, p.size*W)
+	clear(a.wSpan)
+	a.rSpan = grow(a.rSpan, p.size*W+W)
+	clear(a.rSpan)
 	a.everyN = 0
 	a.hookedW = a.hookedW[:0]
 	a.hookedR = a.hookedR[:0]
@@ -229,8 +238,8 @@ func (a *Arena) markDirty(cell int) {
 
 // Kernel-visible hook flags, one byte per cell.
 const (
-	flagRead  uint8 = 1 << iota // readHooks[cell] is non-empty
-	flagWrite                   // writeHooks[cell] is non-empty
+	flagRead  uint8 = 1 << iota // some group of the cell has read hooks
+	flagWrite                   // some group of the cell has write hooks
 )
 
 // OnWriteTo implements fault.HookRegistry (lane group 0).
@@ -248,30 +257,90 @@ func (a *Arena) OnReadOf(cell int, h fault.ReadHook) { a.onReadOf(cell, 0, h) }
 //faultsim:hotpath
 func (a *Arena) OnEveryRead(h fault.ReadHook) { a.onEveryRead(0, h) }
 
+// span is one hook-table entry's [lo, hi) range in its slab.
+type span struct{ lo, hi int32 }
+
+// pending is a hook queued by inject for entry e until seal.
+type pending[H any] struct {
+	e int32
+	h H
+}
+
 //faultsim:hotpath
 func (a *Arena) onWriteTo(cell, g int, h fault.WriteHook) {
 	e := cell*a.p.laneWords + g
-	if len(a.writeHooks[e]) == 0 {
+	if a.wSpan[e].hi == 0 {
 		a.hookedW = append(a.hookedW, int32(e)) //faultsim:alloc-ok capacity is retained across resets
 		a.flags[cell] |= flagWrite
 	}
-	a.writeHooks[e] = append(a.writeHooks[e], h) //faultsim:alloc-ok hook lists keep capacity across resets
+	a.wSpan[e].hi++
+	a.pendW = append(a.pendW, pending[fault.WriteHook]{int32(e), h}) //faultsim:alloc-ok capacity is retained across resets
 }
 
 //faultsim:hotpath
 func (a *Arena) onReadOf(cell, g int, h fault.ReadHook) {
-	e := cell*a.p.laneWords + g
-	if len(a.readHooks[e]) == 0 {
-		a.hookedR = append(a.hookedR, int32(e)) //faultsim:alloc-ok capacity is retained across resets
-		a.flags[cell] |= flagRead
-	}
-	a.readHooks[e] = append(a.readHooks[e], h) //faultsim:alloc-ok hook lists keep capacity across resets
+	a.queueRead(cell*a.p.laneWords+g, h)
+	a.flags[cell] |= flagRead
 }
 
 //faultsim:hotpath
 func (a *Arena) onEveryRead(g int, h fault.ReadHook) {
-	a.everyRead[g] = append(a.everyRead[g], h) //faultsim:alloc-ok capacity is retained across resets
+	a.queueRead(a.everyAt+g, h)
 	a.everyN++
+}
+
+//faultsim:hotpath
+func (a *Arena) queueRead(e int, h fault.ReadHook) {
+	if a.rSpan[e].hi == 0 {
+		a.hookedR = append(a.hookedR, int32(e)) //faultsim:alloc-ok capacity is retained across resets
+	}
+	a.rSpan[e].hi++
+	a.pendR = append(a.pendR, pending[fault.ReadHook]{int32(e), h}) //faultsim:alloc-ok capacity is retained across resets
+}
+
+// seal lays the hooks inject queued out in their slabs: each hooked
+// entry gets a contiguous span (entries in first-hook order), and the
+// queue is scattered into the spans in install order, so every entry
+// runs its hooks in the order they were installed.
+//
+//faultsim:hotpath
+func (a *Arena) seal() {
+	a.wHooks = sealSlab(a.wHooks, a.wSpan, a.hookedW, a.pendW)
+	a.rHooks = sealSlab(a.rHooks, a.rSpan, a.hookedR, a.pendR)
+	a.pendW = a.pendW[:0]
+	a.pendR = a.pendR[:0]
+}
+
+// sealSlab is seal for one hook kind: on entry spans[e].hi counts the
+// hooks queued for each hooked entry e.
+//
+//faultsim:hotpath
+func sealSlab[H any](slab []H, spans []span, hooked []int32, queue []pending[H]) []H {
+	off := int32(0)
+	for _, e := range hooked {
+		n := spans[e].hi
+		spans[e].lo, spans[e].hi = off, off
+		off += n
+	}
+	slab = grow(slab, int(off))
+	for _, q := range queue {
+		s := &spans[q.e]
+		slab[s.hi] = q.h
+		s.hi++
+	}
+	return slab
+}
+
+// writeHooksOf returns entry e's sealed write hooks.
+func (a *Arena) writeHooksOf(e int) []fault.WriteHook {
+	s := a.wSpan[e]
+	return a.wHooks[s.lo:s.hi]
+}
+
+// readHooksOf returns entry e's sealed read hooks.
+func (a *Arena) readHooksOf(e int) []fault.ReadHook {
+	s := a.rSpan[e]
+	return a.rHooks[s.lo:s.hi]
 }
 
 // reset restores the arena to the program's initial state, touching
@@ -304,25 +373,27 @@ func (a *Arena) reset() {
 		clear(a.dirtyAt)
 		a.epoch = 1
 	}
-	// Hooked entries are (cell, group) pairs; the per-cell flag byte is
-	// the union over groups, so clearing it per entry is idempotent.
+	// Hooked entries are (cell, group) pairs — plus, for reads, the
+	// every-read entries past everyAt; the per-cell flag byte is the
+	// union over groups, so clearing it per entry is idempotent.
 	W := a.p.laneWords
 	for _, e := range a.hookedW {
-		a.writeHooks[e] = a.writeHooks[e][:0]
+		a.wSpan[e] = span{}
 		a.flags[int(e)/W] &^= flagWrite
 	}
 	for _, e := range a.hookedR {
-		a.readHooks[e] = a.readHooks[e][:0]
-		a.flags[int(e)/W] &^= flagRead
+		a.rSpan[e] = span{}
+		if int(e) < a.everyAt {
+			a.flags[int(e)/W] &^= flagRead
+		}
 	}
 	a.hookedW = a.hookedW[:0]
 	a.hookedR = a.hookedR[:0]
-	if a.everyN != 0 {
-		for g := range a.everyRead {
-			a.everyRead[g] = a.everyRead[g][:0]
-		}
-		a.everyN = 0
-	}
+	a.everyN = 0
+	a.wHooks = a.wHooks[:0]
+	a.rHooks = a.rHooks[:0]
+	a.pendW = a.pendW[:0] // non-empty only after a failed inject
+	a.pendR = a.pendR[:0]
 	clear(a.acc)
 	a.pool.Reset()
 	a.clock = 0
@@ -371,8 +442,9 @@ func (ap *ArenaPool) Put(a *Arena) {
 }
 
 // inject installs each fault on its machine lane, preferring the
-// pooled (allocation-free) capability.  Fault i lands on lane i%64 of
-// lane group i/64, registered through that group's 64-lane view.
+// pooled (allocation-free) capability, then seals the hook tables.
+// Fault i lands on lane i%64 of lane group i/64, registered through
+// that group's 64-lane view.
 //
 //faultsim:hotpath
 func (a *Arena) inject(faults []fault.Fault) error {
@@ -397,5 +469,6 @@ func (a *Arena) inject(faults []fault.Fault) error {
 			return fmt.Errorf("sim: fault %s (%T) does not support batch injection", f, f)
 		}
 	}
+	a.seal()
 	return nil
 }

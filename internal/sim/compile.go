@@ -61,15 +61,6 @@ const MaxLaneWords = 8
 // 64-machine words).
 func ValidLaneWords(w int) bool { return w == 1 || w == 4 || w == 8 }
 
-// LaneWordsForMachines maps a machines-per-batch count (64, 256, 512 —
-// the unit user-facing knobs speak) to lane words.
-func LaneWordsForMachines(machines int) (int, error) {
-	if machines%BatchSize != 0 || !ValidLaneWords(machines/BatchSize) {
-		return 0, fmt.Errorf("sim: unsupported lane width %d machines (want 64, 256 or 512)", machines)
-	}
-	return machines / BatchSize, nil
-}
-
 // instr is one compiled operation, packed to 16 bytes so large traces
 // stream through cache.  opAddr carries the opcode in its top three
 // bits and the cell index below.  lane indexes the program's lanePool

@@ -53,12 +53,18 @@
 //     pack each op into a single uint32.
 //
 //   - Arena is a worker's reusable machine-array state: lane buffer,
-//     hook tables (with a one-byte per-cell flag map the kernels test
-//     instead of slice headers), history ring, observer accumulators,
-//     scratch, and a fault.Pool recycling hook objects.  Between
-//     batches it restores only the cells the previous batch dirtied
-//     (or wholesale for dense traces), so steady-state batches
-//     allocate nothing.
+//     hook tables (two flat slabs laid out once per batch, one span
+//     per hooked cell and lane group, with a one-byte per-cell flag map
+//     the kernels test instead of spans), history ring, observer
+//     accumulators, scratch, and a fault.Pool recycling hook objects.
+//     Between batches it restores only the cells the previous batch
+//     dirtied (or wholesale for dense traces), so steady-state batches
+//     allocate nothing — across Retarget too, so one arena serves
+//     every stage of a session.
+//
+//   - LaneWordsFor picks a campaign's lane width from its size: the
+//     widest of 8, 4 and 1 words at which every worker still gets
+//     enough full batches.
 //
 //   - Replay dispatches to a width-1 kernel (no per-bit inner loops;
 //     the regime of the paper's Fig. 1a bit-oriented memories and the

@@ -128,10 +128,10 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 			if flags[cell]&flagRead != 0 || hasEvery {
 				a.clock = clock
 				a.val[0] = v
-				for _, h := range a.readHooks[cell] {
+				for _, h := range a.readHooksOf(cell) {
 					h.OnRead(a, cell, a.val)
 				}
-				for _, h := range a.everyRead[0] {
+				for _, h := range a.readHooksOf(a.everyAt) {
 					h.OnRead(a, cell, a.val)
 				}
 				v = a.val[0]
@@ -153,7 +153,7 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 			if flags[cell]&flagWrite != 0 {
 				a.clock = clock
 				a.data[0] = d
-				hooks := a.writeHooks[cell]
+				hooks := a.writeHooksOf(cell)
 				for _, h := range hooks {
 					h.PreWrite(a, cell, a.data)
 				}
@@ -193,10 +193,10 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 			if flags[cell]&flagRead != 0 || hasEvery {
 				a.clock = clock
 				a.val[0] = v
-				for _, h := range a.readHooks[cell] {
+				for _, h := range a.readHooksOf(cell) {
 					h.OnRead(a, cell, a.val)
 				}
-				for _, h := range a.everyRead[0] {
+				for _, h := range a.readHooksOf(a.everyAt) {
 					h.OnRead(a, cell, a.val)
 				}
 				v = a.val[0]
@@ -261,7 +261,7 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 		if flags[cell]&flagWrite != 0 {
 			a.clock = clock
 			a.data[0] = d
-			hooks := a.writeHooks[cell]
+			hooks := a.writeHooksOf(cell)
 			for _, h := range hooks {
 				h.PreWrite(a, cell, a.data)
 			}
@@ -302,10 +302,10 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 			copy(val, a.lanes[base:base+w])
 			if flags[cell]&flagRead != 0 || hasEvery {
 				a.clock = clock
-				for _, h := range a.readHooks[cell] {
+				for _, h := range a.readHooksOf(cell) {
 					h.OnRead(a, cell, val)
 				}
-				for _, h := range a.everyRead[0] {
+				for _, h := range a.readHooksOf(a.everyAt) {
 					h.OnRead(a, cell, val)
 				}
 			}
@@ -329,7 +329,7 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 			copy(data, p.lanePool[in.t0:int(in.t0)+w])
 			if flags[cell]&flagWrite != 0 {
 				a.clock = clock
-				hooks := a.writeHooks[cell]
+				hooks := a.writeHooksOf(cell)
 				for _, h := range hooks {
 					h.PreWrite(a, cell, data)
 				}
@@ -367,10 +367,10 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 			copy(val, a.lanes[base:base+w])
 			if flags[cell]&flagRead != 0 || hasEvery {
 				a.clock = clock
-				for _, h := range a.readHooks[cell] {
+				for _, h := range a.readHooksOf(cell) {
 					h.OnRead(a, cell, val)
 				}
-				for _, h := range a.everyRead[0] {
+				for _, h := range a.readHooksOf(a.everyAt) {
 					h.OnRead(a, cell, val)
 				}
 			}
@@ -440,7 +440,7 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 		}
 		if flags[cell]&flagWrite != 0 {
 			a.clock = clock
-			hooks := a.writeHooks[cell]
+			hooks := a.writeHooksOf(cell)
 			for _, h := range hooks {
 				h.PreWrite(a, cell, data)
 			}
@@ -472,10 +472,10 @@ func (a *Arena) senseHooked(cell int, val []uint64, clock uint64) {
 	ht := cell * W
 	for g := 0; g < W; g++ {
 		vg := val[g*w : (g+1)*w]
-		for _, h := range a.readHooks[ht+g] {
+		for _, h := range a.readHooksOf(ht + g) {
 			h.OnRead(&a.views[g], cell, vg)
 		}
-		for _, h := range a.everyRead[g] {
+		for _, h := range a.readHooksOf(a.everyAt + g) {
 			h.OnRead(&a.views[g], cell, vg)
 		}
 	}
@@ -494,7 +494,7 @@ func (a *Arena) storeHooked(cell int, data []uint64, clock uint64) {
 	ht := cell * W
 	base := ht * w
 	for g := 0; g < W; g++ {
-		hooks := a.writeHooks[ht+g]
+		hooks := a.writeHooksOf(ht + g)
 		dg := data[g*w : (g+1)*w]
 		for _, h := range hooks {
 			h.PreWrite(&a.views[g], cell, dg)

@@ -76,6 +76,24 @@ type StreamConfig struct {
 // with one worker replaying a long last chunk while the others idle.
 const chunksPerWorker = 16
 
+// LaneWordsFor is the lane width (in 64-machine words) a stage of n
+// faults compiles at on the given worker count (<= 0 selects
+// GOMAXPROCS): the widest of 8, 4 and 1 at which every worker still
+// gets chunksPerWorker full replay batches.  Wide batches amortize
+// dispatch over more machines, but a small input needs narrow ones to
+// spread over the pool.
+func LaneWordsFor(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	for _, w := range [...]int{MaxLaneWords, 4} {
+		if n >= workers*chunksPerWorker*w*BatchSize {
+			return w
+		}
+	}
+	return 1
+}
+
 // sizes resolves the worker count and the per-worker chunk buffer
 // length.  When src knows its exact size, neither exceeds what the
 // stream can use: the chunk is capped at 1/chunksPerWorker of one

@@ -196,7 +196,7 @@ func TestWideReplaySteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestCompileRejectsUnsupportedLaneWidths: width validation must refuse
-// up front, on both the word-count and the CLI machine-count units.
+// up front.
 func TestCompileRejectsUnsupportedLaneWidths(t *testing.T) {
 	tr := recordMarch(t, march.MATSPlus(), 8)
 	for _, w := range []int{-1, 0, 2, 3, 5, 7, 9, 16} {
@@ -210,17 +210,6 @@ func TestCompileRejectsUnsupportedLaneWidths(t *testing.T) {
 	for _, w := range []int{1, 4, 8} {
 		if !ValidLaneWords(w) {
 			t.Errorf("ValidLaneWords(%d) = false", w)
-		}
-	}
-	for machines, want := range map[int]int{64: 1, 256: 4, 512: 8} {
-		got, err := LaneWordsForMachines(machines)
-		if err != nil || got != want {
-			t.Errorf("LaneWordsForMachines(%d) = %d, %v; want %d", machines, got, err, want)
-		}
-	}
-	for _, machines := range []int{-64, 0, 1, 63, 100, 128, 384, 1024} {
-		if _, err := LaneWordsForMachines(machines); err == nil {
-			t.Errorf("LaneWordsForMachines accepted %d", machines)
 		}
 	}
 }
