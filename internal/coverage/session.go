@@ -725,7 +725,9 @@ func grow(buf *[]bool, n int) []bool {
 // FormatStages renders the session's stage progression as one line:
 // "MATS+ 1292→301 (1.2ms, 1.1M faults/s); March C- 301→4 (…)"
 // (entered→survivors with stage timing, execution order) — the
-// faultcov -session report.
+// faultcov -session report.  A stage that was presented faults but
+// detected none is marked "[no detections]": under dropping its whole
+// run bought nothing.
 func (s *Session) FormatStages() string {
 	parts := make([]string, len(s.Stages))
 	for i, st := range s.Stages {
@@ -733,6 +735,9 @@ func (s *Session) FormatStages() string {
 		if st.Stats != nil && st.Stats.Elapsed > 0 {
 			parts[i] += fmt.Sprintf(" (%s, %s faults/s)",
 				FormatDuration(st.Stats.Elapsed), FormatRate(st.Stats.FaultsPerSec))
+		}
+		if st.Entered > 0 && st.Detected == 0 {
+			parts[i] += " [no detections]"
 		}
 	}
 	return strings.Join(parts, "; ")

@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -178,8 +179,51 @@ func TestSessionStagesReportSurvivors(t *testing.T) {
 	if got := s.Stages[len(s.Stages)-1].Survivors; got != u.Len()-s.Cumulative.Detected {
 		t.Errorf("final survivors %d != universe %d - cumulative %d", got, u.Len(), s.Cumulative.Detected)
 	}
-	if s.FormatStages() == "" {
+	report := s.FormatStages()
+	if report == "" {
 		t.Error("empty stage format")
+	}
+	for _, st := range s.Stages {
+		if st.Detected == 0 {
+			t.Errorf("stage %s detected nothing — the universe no longer exercises both stages", st.Runner)
+		}
+	}
+	if strings.Contains(report, "[no detections]") {
+		t.Errorf("stages that detected faults flagged as zero-yield: %s", report)
+	}
+}
+
+// TestFormatStagesFlagsZeroYieldStages: a stage presented faults that
+// detected none is marked; an empty stage (nothing left to present) and
+// a detecting stage are not.  A repeated runner under dropping is the
+// natural zero-yield stage: its first run already dropped everything
+// it can detect.
+func TestFormatStagesFlagsZeroYieldStages(t *testing.T) {
+	s := &Session{Stages: []StageStat{
+		{Runner: "PRT-3/sig", Entered: 241640, Detected: 134052, Survivors: 107588},
+		{Runner: "PRT-3/bist", Entered: 107588, Detected: 0, Survivors: 107588},
+		{Runner: "March A", Entered: 0, Detected: 0, Survivors: 0},
+	}}
+	want := "PRT-3/sig 241640→107588; PRT-3/bist 107588→107588 [no detections]; March A 0→0"
+	if got := s.FormatStages(); got != want {
+		t.Errorf("FormatStages:\n got %q\nwant %q", got, want)
+	}
+
+	const n = 24
+	u := fault.StandardUniverse(n, 1, 6, 9)
+	p := Plan{
+		Runners:  []Runner{MarchRunner(march.MATSPlus(), nil), MarchRunner(march.MATSPlus(), nil)},
+		Universe: u, Memory: bomFactory(n), Workers: 2, Drop: true,
+	}
+	run := p.Run()
+	first, second := run.Stages[0], run.Stages[1]
+	if first.Detected == 0 || second.Entered == 0 || second.Detected != 0 {
+		t.Fatalf("repeated MATS+ stages: first detected %d, second entered %d detected %d",
+			first.Detected, second.Entered, second.Detected)
+	}
+	parts := strings.Split(run.FormatStages(), "; ")
+	if len(parts) != 2 || strings.Contains(parts[0], "[no detections]") || !strings.HasSuffix(parts[1], " [no detections]") {
+		t.Errorf("zero-yield repeat not flagged: %q", run.FormatStages())
 	}
 }
 

@@ -61,7 +61,13 @@ type Arena struct {
 	hookedR []int32
 	flags   []uint8
 
-	hist []uint64 // read-history ring, maxBack*width*laneWords words
+	// hist is the read-history ring, maxBack*width*laneWords words: the
+	// width-1 kernels keep each read's sensed lanes there, the word
+	// kernels its error (sensed XOR clean).  loud[slot] records whether
+	// any lane of that word-kernel read erred, so a recurrence write
+	// skips the terms of quiet reads.
+	hist []uint64
+	loud []bool
 	val  []uint64 // scratch: sensed lanes of the current read, [group][bit]
 	data []uint64 // scratch: lanes of the current write, [group][bit]
 
@@ -72,10 +78,14 @@ type Arena struct {
 	// tables), obsScr is the fold scratch (widest observer) and diff
 	// the read-difference scratch.  The whole buffer is a few words per
 	// observer, so reset clears it wholesale — still O(observer state),
-	// not O(memory).
-	acc    []uint64
-	obsScr []uint64
-	diff   []uint64
+	// not O(memory).  accLive[obs] is set while observer obs's
+	// accumulator may be nonzero in some lane; the word kernels skip
+	// folds of a zero error into a clear accumulator, and compare points
+	// of a clear one.
+	acc     []uint64
+	accLive []bool
+	obsScr  []uint64
+	diff    []uint64
 
 	pool fault.Pool
 }
@@ -139,8 +149,12 @@ func (a *Arena) Retarget(p *Program) {
 	a.data = grow(a.data, p.width*W)
 	a.hist = grow(a.hist, p.maxBack*p.width*W)
 	clear(a.hist)
+	a.loud = grow(a.loud, p.maxBack)
+	clear(a.loud)
 	a.acc = grow(a.acc, p.accWords*W)
 	clear(a.acc)
+	a.accLive = grow(a.accLive, p.observers)
+	clear(a.accLive)
 	a.obsScr = grow(a.obsScr, p.obsBits*W)
 	a.diff = grow(a.diff, p.width*W)
 	a.pool.Reset()
@@ -395,6 +409,7 @@ func (a *Arena) reset() {
 	a.pendW = a.pendW[:0] // non-empty only after a failed inject
 	a.pendR = a.pendR[:0]
 	clear(a.acc)
+	clear(a.accLive)
 	a.pool.Reset()
 	a.clock = 0
 }

@@ -1,7 +1,7 @@
 // The trace compiler.  Compilation must be deterministic: compiled
-// programs are cached process-wide by trace identity, and the collapse
-// rules and checkpoint spec hashes are derived from compiler output,
-// so the same trace must lower to the same instruction stream on every
+// programs are cached process-wide by trace identity, and structural
+// fault collapsing conditions on compiler output (Program.Summary), so
+// the same trace must lower to the same instruction stream on every
 // run.
 //
 //faultsim:deterministic
@@ -11,6 +11,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fault"
 	"repro/internal/ram"
@@ -23,9 +24,11 @@ import (
 // pre-resolves everything the generic replay loop recomputes per batch:
 //
 //   - lane offsets (cell*width) per instruction;
-//   - clean data and expected checked-read values, expanded from Words
-//     into broadcast lane words in one shared pool;
-//   - affine recurrence writes, flattened into (back, dst, mask) terms;
+//   - clean data, clean read values and expected checked-read values,
+//     expanded from Words into broadcast lane words in one shared pool
+//     with one entry per distinct word value;
+//   - affine recurrence writes, flattened into (back, dst, mask) terms
+//     and checked against their recorded clean values;
 //   - signature folds and observer compare points, resolved to offsets
 //     into a per-arena accumulator buffer with their GF(2) matrices
 //     deduplicated in one shared row pool;
@@ -64,11 +67,12 @@ func ValidLaneWords(w int) bool { return w == 1 || w == 4 || w == 8 }
 // instr is one compiled operation, packed to 16 bytes so large traces
 // stream through cache.  opAddr carries the opcode in its top three
 // bits and the cell index below.  lane indexes the program's lanePool
-// (width words): the expected value for opCheck, the literal data for
-// opWrite, the affine offset for opAffine.  terms[t0:t0+tn] are the
-// affine terms of an opAffine.  A fused opCheckWrite keeps the
-// expected value in lane and reuses t0 (free: fused ops are never
-// affine) as the lanePool offset of the literal write data.
+// (one cell block of laneWords*width words): the clean sensed value
+// for opRead, opCheck and opFold, the literal data for opWrite, the
+// recorded clean write for opAffine (its affine offset in width-1
+// programs).  terms[t0:t0+tn] are the affine terms of an opAffine.  A fused opCheckWrite keeps the expected value
+// in lane and reuses t0 (free: fused ops are never affine) as the
+// lanePool offset of the literal write data.
 type instr struct {
 	opAddr uint32
 	lane   int32 // offset into lanePool
@@ -94,19 +98,20 @@ type affEntry struct {
 }
 
 // foldRec is the side-table record of one signature fold, consumed in
-// program order by both kernels: acc is the observer's offset into the
-// arena's accumulator buffer, bits its width, step/tap offsets into
-// the shared row pool, and checked carries an AnnotateChecked that
-// coincides with the fold.
+// program order by both kernels: obs is the observer id, acc its
+// offset into the arena's accumulator buffer, bits its width, step/tap
+// offsets into the shared row pool, and checked carries an
+// AnnotateChecked that coincides with the fold.
 type foldRec struct {
-	acc, bits int32
+	obs, acc  int32
+	bits      int32
 	step, tap int32
 	checked   bool
 }
 
 // obsRec is the side-table record of one observer compare point.
 type obsRec struct {
-	acc, bits int32
+	obs, acc, bits int32
 }
 
 // affTerm is one flattened affine contribution: source-read bits
@@ -132,8 +137,10 @@ type Program struct {
 	// 64-lane shape the fault-model hooks were written against.
 	laneWords int
 
-	code     []instr
-	terms    []affTerm
+	code  []instr
+	terms []affTerm
+	// lanePool holds the broadcast lane blocks of the distinct word
+	// values the program uses (see appendLanes).
 	lanePool []uint64
 
 	// Width-1 specialization: one packed uint32 per op plus the affine
@@ -149,13 +156,14 @@ type Program struct {
 
 	// Observer state layout: folds/observes are consumed in program
 	// order by the kernels, rowPool holds the deduplicated step/tap
-	// matrices, accWords sizes the arena's accumulator buffer and
-	// obsBits its widest-observer scratch.
-	folds    []foldRec
-	observes []obsRec
-	rowPool  []uint32
-	accWords int
-	obsBits  int
+	// matrices, accWords sizes the arena's accumulator buffer, obsBits
+	// its widest-observer scratch and observers its per-observer flags.
+	folds     []foldRec
+	observes  []obsRec
+	rowPool   []uint32
+	accWords  int
+	obsBits   int
+	observers int
 
 	// initLanes is the pre-run memory expanded to broadcast lane words;
 	// arenas restore dirtied cells from it between batches.
@@ -203,17 +211,27 @@ func (p *Program) Summary() fault.TraceSummary {
 	return fault.TraceSummary{Width: p.width, Affine: p.affine, Expect: p.expect}
 }
 
-// appendLanes expands w into width broadcast lane words appended to the
-// pool and returns their offset.
-func (p *Program) appendLanes(w ram.Word) int32 {
-	off := int32(len(p.lanePool))
-	for b := 0; b < p.width; b++ {
-		var l uint64
-		if w>>uint(b)&1 == 1 {
-			l = ^uint64(0)
-		}
-		p.lanePool = append(p.lanePool, l)
+// appendLanes returns the lanePool offset of w's broadcast lane block —
+// laneWords*width words laid out [group][bit], as a cell block of
+// Arena.lanes — appending it on w's first use: index maps each word
+// value already in the pool to its offset, so the pool holds at most
+// one entry per distinct value (2^width at most) however long the
+// trace.
+func (p *Program) appendLanes(index map[ram.Word]int32, w ram.Word) int32 {
+	if off, ok := index[w]; ok {
+		return off
 	}
+	off := int32(len(p.lanePool))
+	for g := 0; g < p.laneWords; g++ {
+		for b := 0; b < p.width; b++ {
+			var l uint64
+			if w>>uint(b)&1 == 1 {
+				l = ^uint64(0)
+			}
+			p.lanePool = append(p.lanePool, l)
+		}
+	}
+	index[w] = off
 	return off
 }
 
@@ -221,7 +239,11 @@ func (p *Program) appendLanes(w ram.Word) int32 {
 // laneWords*64 machines per batch (laneWords of 1, 4 or 8).  It fails
 // on traces replay would also reject: no detection points (checked
 // reads or observer compares), an affine write referencing a read that
-// never happened, or a fold/observe of an unregistered observer.
+// never happened, or a fold/observe of an unregistered observer.  It
+// also fails on an affine write whose annotation does not reproduce
+// the recorded write from the recorded reads — Offset ⊕ Σ M·(clean
+// reads) must equal the clean write, since the word kernels start each
+// recurrence write from the clean value and add only read errors.
 //
 // Besides lowering, the compiler fuses each March-style
 // read-check-write sequence — a checked, unfolded read immediately
@@ -251,6 +273,7 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 		code:      make([]instr, 0, len(ops)),
 		trimmed:   len(tr.Ops) - len(ops),
 		expect:    make([]uint8, tr.Size*tr.Width),
+		observers: len(tr.Observers),
 	}
 	// Observer accumulator layout: one contiguous arena buffer, offsets
 	// in registration order.
@@ -262,6 +285,8 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 			p.obsBits = bits
 		}
 	}
+	laneIndex := make(map[ram.Word]int32)
+	lanes := func(w ram.Word) int32 { return p.appendLanes(laneIndex, w) }
 	rowIndex := make(map[string]int32)
 	internRows := func(rows []uint32) int32 {
 		key := string(rowKey(rows))
@@ -298,6 +323,15 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 	written := make([]bool, tr.Size)
 	distinct := 0
 	reads := 0
+	// recent[r%MaxBack] holds the clean value of read r (0-based): the
+	// window the affine-annotation check looks back into.
+	recent := make([]ram.Word, tr.MaxBack)
+	sensed := func(v ram.Word) {
+		if len(recent) > 0 {
+			recent[reads%len(recent)] = v
+		}
+		reads++
+	}
 	for i := 0; i < len(ops); i++ {
 		op := &ops[i]
 		// Op fusion: a checked, unfolded read immediately followed by a
@@ -308,12 +342,12 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 		if op.Kind == ram.OpRead && op.Checked && op.Fold == nil && i+1 < len(ops) {
 			if nxt := &ops[i+1]; nxt.Kind == ram.OpWrite && nxt.Lin == nil && nxt.Addr == op.Addr {
 				in := instr{opAddr: uint32(op.Addr) | opCheckWrite<<opShift}
-				in.lane = p.appendLanes(op.Data)
-				in.t0 = p.appendLanes(nxt.Data)
+				in.lane = lanes(op.Data)
+				in.t0 = lanes(nxt.Data)
 				for b := 0; b < tr.Width; b++ {
 					p.expect[op.Addr*tr.Width+b] |= 1 << uint(op.Data>>uint(b)&1)
 				}
-				reads++
+				sensed(op.Data)
 				if !written[nxt.Addr] {
 					written[nxt.Addr] = true
 					distinct++
@@ -332,7 +366,7 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 			}
 			in.opAddr = uint32(op.Addr) | opObserve<<opShift
 			p.observes = append(p.observes, obsRec{
-				acc: obsOff[op.Addr], bits: int32(tr.Observers[op.Addr]),
+				obs: int32(op.Addr), acc: obsOff[op.Addr], bits: int32(tr.Observers[op.Addr]),
 			})
 		case op.Kind == ram.OpRead && op.Fold != nil:
 			f := op.Fold
@@ -340,8 +374,9 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 				return nil, fmt.Errorf("sim: fold into unregistered observer %d", f.Obs)
 			}
 			in.opAddr |= opFold << opShift
-			in.lane = p.appendLanes(op.Data)
+			in.lane = lanes(op.Data)
 			p.folds = append(p.folds, foldRec{
+				obs:     int32(f.Obs),
 				acc:     obsOff[f.Obs],
 				bits:    int32(len(f.Step)),
 				step:    internRows(f.Step),
@@ -362,33 +397,47 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 					}
 				}
 			}
-			reads++
+			sensed(op.Data)
 		case op.Kind == ram.OpRead:
+			// Every read carries its clean value: the word kernels
+			// record each read's error against it.
+			in.lane = lanes(op.Data)
 			if op.Checked {
 				in.opAddr |= opCheck << opShift
-				in.lane = p.appendLanes(op.Data)
 				for b := 0; b < tr.Width; b++ {
 					p.expect[op.Addr*tr.Width+b] |= 1 << uint(op.Data>>uint(b)&1)
 				}
 			}
-			reads++
+			sensed(op.Data)
 		case op.Lin == nil:
 			in.opAddr |= opWrite << opShift
-			in.lane = p.appendLanes(op.Data)
+			in.lane = lanes(op.Data)
 		default:
 			in.opAddr |= opAffine << opShift
 			p.affine = true
-			in.lane = p.appendLanes(op.Lin.Offset)
+			// The word kernels start from the clean write and add read
+			// errors; the width-1 kernels recompute the write from
+			// sensed values and the offset.
+			in.lane = lanes(op.Data)
+			if tr.Width == 1 {
+				in.lane = lanes(op.Lin.Offset)
+			}
 			in.t0 = int32(len(p.terms))
+			want := op.Lin.Offset
 			for j, back := range op.Lin.Back {
-				if back > reads {
-					return nil, fmt.Errorf("sim: linear write references read %d back but only %d reads recorded", back, reads)
+				if back < 1 || back > reads || back > tr.MaxBack {
+					return nil, fmt.Errorf("sim: linear write references read %d back but only %d reads recorded (history %d)", back, reads, tr.MaxBack)
 				}
+				src := uint32(recent[(reads-back)%len(recent)])
 				for r, m := range op.Lin.Rows[j] {
 					if m != 0 {
 						p.terms = append(p.terms, affTerm{back: int32(back), dst: int32(r), mask: m})
+						want ^= ram.Word(bits.OnesCount32(src&m)&1) << uint(r)
 					}
 				}
+			}
+			if want != op.Data {
+				return nil, fmt.Errorf("sim: op %d (cell %d): affine annotation gives %#x from the recorded reads, but the recorded write is %#x", i, op.Addr, want, op.Data)
 			}
 			in.tn = int32(len(p.terms)) - in.t0
 		}
@@ -418,10 +467,10 @@ func rowKey(rows []uint32) []byte {
 
 // pack1 builds the width-1 instruction stream from the compiled (and
 // fused) code: the data/expected bit rides in the instruction word
-// (recovered from the instruction's lanePool entry — width 1, so one
-// broadcast word per entry), affine term windows in a side table,
-// fused write bits in fus1; folds and observes consume the shared side
-// tables in program order.
+// (recovered from the first word of the instruction's lanePool entry,
+// the broadcast bit), affine term windows in a side table, fused write
+// bits in fus1; folds and observes consume the shared side tables in
+// program order.
 func (p *Program) pack1() {
 	p.code1 = make([]uint32, 0, len(p.code))
 	bit := func(off int32) uint32 { return uint32(p.lanePool[off] & 1) }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -193,6 +195,57 @@ func TestCompileRejectsUnannotatedTrace(t *testing.T) {
 	}}
 	if _, err := Compile(tr, 1); err == nil {
 		t.Fatal("expected an error for a trace with no checked reads")
+	}
+}
+
+// TestCompileRejectsWrongAffineAnnotation: the word kernels start each
+// recurrence write from its recorded clean value, so an annotation
+// whose Offset ⊕ Σ M·(clean reads) disagrees with the recorded write
+// would silently corrupt verdicts — Compile must refuse it, naming the
+// op and the cell.
+func TestCompileRejectsWrongAffineAnnotation(t *testing.T) {
+	tr := recordPRT(t, 17, 4)
+	if _, err := Compile(tr, 1); err != nil {
+		t.Fatalf("well-annotated trace rejected: %v", err)
+	}
+	at := -1
+	for i := range tr.Ops {
+		if tr.Ops[i].Lin != nil {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("PRT trace has no affine writes")
+	}
+	lin := *tr.Ops[at].Lin
+	lin.Offset ^= 1
+	tr.Ops[at].Lin = &lin
+	for _, w := range []int{1, 4} {
+		_, err := Compile(tr, w)
+		if err == nil {
+			t.Fatalf("W=%d: corrupted affine offset at op %d compiled", w, at)
+		}
+		want := fmt.Sprintf("op %d (cell %d)", at, tr.Ops[at].Addr)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("W=%d: error %q does not name %q", w, err, want)
+		}
+	}
+}
+
+// TestCompileInternsLaneValues: the lane pool holds one broadcast block
+// per distinct word value, not one per instruction.
+func TestCompileInternsLaneValues(t *testing.T) {
+	const m = 4
+	tr := recordPRT(t, 64, m)
+	for _, w := range []int{1, 8} {
+		p, err := Compile(tr, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if max := (1 << m) * m * w; len(p.lanePool) > max {
+			t.Fatalf("W=%d: lane pool has %d words for %d ops, want at most %d (2^width blocks)", w, len(p.lanePool), p.Ops(), max)
+		}
 	}
 }
 

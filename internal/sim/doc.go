@@ -49,7 +49,12 @@
 //     expanded clean values, flattened affine terms, fold/observe side
 //     tables with deduplicated GF(2) matrices, and the suffix after
 //     the last detection point trimmed (nothing past the final
-//     comparison can affect detection).  Width-1 traces additionally
+//     comparison can affect detection).  Clean values are interned:
+//     the lane pool holds one broadcast block per distinct word value
+//     (at most 2^width), which every instruction using that value
+//     shares.  Compile also checks every affine annotation: Offset ⊕
+//     Σ M·(recorded clean reads) must equal the recorded write, or it
+//     fails naming the op and the cell.  Width-1 traces additionally
 //     pack each op into a single uint32.
 //
 //   - Arena is a worker's reusable machine-array state: lane buffer,
@@ -69,6 +74,21 @@
 //   - Replay dispatches to a width-1 kernel (no per-bit inner loops;
 //     the regime of the paper's Fig. 1a bit-oriented memories and the
 //     largest campaigns) or the generic word-oriented kernel.
+//
+//   - Quiet-batch replay (word-oriented kernels): PRT emulates a
+//     linear automaton, so a faulty machine's recurrence writes and
+//     signature state differ from the clean run only through its read
+//     errors.  The word kernels keep each read's error (sensed XOR
+//     clean) in the history ring with one loud flag per slot, start
+//     every recurrence write from its recorded clean value and add
+//     only the terms of loud reads, skip a fold of a zero error into
+//     an accumulator that is still zero, and skip the compare point of
+//     such an accumulator (one live flag per observer).  While no
+//     lane of a batch reads a value different from the clean run —
+//     as for every survivor entering a BIST stage that detects
+//     nothing — that work costs one flag test per term.  The width-1
+//     kernels keep sensed values and recompute writes from the
+//     affine offset, as before.
 //
 //   - ShardsCompiledStream drives the batches with one arena per
 //     worker and a shared stop flag so a failing batch short-circuits

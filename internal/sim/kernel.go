@@ -103,6 +103,18 @@ func allDetected(det, full []uint64) bool {
 // table; the read-history ring is addressed by a wrapping cursor
 // instead of a modulo.  The pass returns as soon as every machine of
 // the batch has detected.
+//
+// The word kernels (runN, runNW) also replay quiet stretches cheaply.
+// A recurrence write is GF(2)-affine in the reads it references, and
+// Compile has checked that it equals the clean write on the clean
+// reads, so a machine's write is the clean write plus the GF(2) image
+// of its read errors.  Their history ring therefore keeps each read's
+// error (sensed XOR clean) with one loud flag per slot; an affine write
+// starts from the broadcast clean value and adds only the terms of
+// loud reads.  Likewise a fold of a zero error into a clear
+// accumulator, and a compare point of a clear accumulator, change
+// nothing and are skipped.  While no lane's reads differ from the clean
+// run, recurrence and signature work costs one flag test per term.
 
 // run1 is the width-1 kernel for bit-oriented memories: one lane word
 // per cell, no per-bit inner loops anywhere on the hot path, and the
@@ -281,12 +293,13 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 	return detected
 }
 
-// runN is the generic kernel for word-oriented memories (width >= 2).
+// runN is the generic kernel for word-oriented memories (width >= 2),
+// replaying quiet batches cheaply as described above.
 func (p *Program) runN(a *Arena, full uint64) uint64 {
 	w := p.width
 	var detected uint64
 	slots, hpos, foldPos, obsPos := p.maxBack, 0, 0, 0
-	flags := a.flags
+	flags, loud, live := a.flags, a.loud, a.accLive
 	hasEvery := a.everyN != 0
 	track := !p.dense // dense traces restore wholesale, skip marking
 	clock := a.clock
@@ -294,62 +307,13 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 		in := &p.code[i]
 		cell := int(in.opAddr & addrMask)
 		op := in.opAddr >> opShift
-		if op == opCheckWrite {
-			// Fused super-op: sense (+hooks/history), compare, store.
-			base := cell * w
-			clock++
-			val := a.val
-			copy(val, a.lanes[base:base+w])
-			if flags[cell]&flagRead != 0 || hasEvery {
-				a.clock = clock
-				for _, h := range a.readHooksOf(cell) {
-					h.OnRead(a, cell, val)
-				}
-				for _, h := range a.readHooksOf(a.everyAt) {
-					h.OnRead(a, cell, val)
-				}
-			}
-			if slots > 0 {
-				copy(a.hist[hpos*w:hpos*w+w], val)
-				if hpos++; hpos == slots {
-					hpos = 0
-				}
-			}
-			clean := p.lanePool[in.lane : int(in.lane)+w]
-			var diff uint64
-			for b := 0; b < w; b++ {
-				diff |= val[b] ^ clean[b]
-			}
-			detected |= diff & full
-			if detected == full {
-				break // every machine has detected
-			}
-			clock++
-			data := a.data
-			copy(data, p.lanePool[in.t0:int(in.t0)+w])
-			if flags[cell]&flagWrite != 0 {
-				a.clock = clock
-				hooks := a.writeHooksOf(cell)
-				for _, h := range hooks {
-					h.PreWrite(a, cell, data)
-				}
-				a.markDirty(cell)
-				copy(a.lanes[base:base+w], data)
-				for _, h := range hooks {
-					h.PostWrite(a, cell, data)
-				}
-			} else {
-				if track {
-					a.markDirty(cell)
-				}
-				copy(a.lanes[base:base+w], data)
-			}
-			continue
-		}
 		if op == opObserve {
 			// Compare point: no memory access, no clock tick.
 			ob := &p.observes[obsPos]
 			obsPos++
+			if !live[ob.obs] {
+				continue // clear accumulator: no machine diverges
+			}
 			var d uint64
 			for _, wv := range a.acc[ob.acc : ob.acc+ob.bits] {
 				d |= wv
@@ -362,10 +326,11 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 		}
 		base := cell * w
 		clock++
-		if op <= opFold {
-			val := a.val
-			copy(val, a.lanes[base:base+w])
+		if op <= opFold || op == opCheckWrite {
+			val := a.lanes[base : base+w]
 			if flags[cell]&flagRead != 0 || hasEvery {
+				val = a.val
+				copy(val, a.lanes[base:base+w])
 				a.clock = clock
 				for _, h := range a.readHooksOf(cell) {
 					h.OnRead(a, cell, val)
@@ -374,67 +339,92 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 					h.OnRead(a, cell, val)
 				}
 			}
+			if op == opRead && slots == 0 {
+				continue // no recurrence write consumes the read
+			}
+			// The read's error: kept in the history ring when recurrence
+			// writes follow, in scratch otherwise.
+			clean := p.lanePool[in.lane : int(in.lane)+w]
+			errs := a.diff
 			if slots > 0 {
-				copy(a.hist[hpos*w:hpos*w+w], val)
+				errs = a.hist[hpos*w : hpos*w+w]
+			}
+			var diff uint64
+			for b := 0; b < w; b++ {
+				e := val[b] ^ clean[b]
+				errs[b] = e
+				diff |= e
+			}
+			if slots > 0 {
+				loud[hpos] = diff != 0
 				if hpos++; hpos == slots {
 					hpos = 0
 				}
 			}
-			if op == opCheck {
-				clean := p.lanePool[in.lane : int(in.lane)+w]
-				var diff uint64
-				for b := 0; b < w; b++ {
-					diff |= val[b] ^ clean[b]
-				}
-				detected |= diff & full
-				if detected == full {
-					break // every machine has detected
-				}
-			} else if op == opFold {
+			if op == opRead {
+				continue
+			}
+			if op == opFold {
 				// acc ← step·acc ⊕ tap·diff, per lane.
 				fr := &p.folds[foldPos]
 				foldPos++
-				clean := p.lanePool[in.lane : int(in.lane)+w]
-				diff := a.diff
-				var any uint64
-				for b := 0; b < w; b++ {
-					diff[b] = val[b] ^ clean[b]
-					any |= diff[b]
-				}
 				if fr.checked {
-					detected |= any & full
+					detected |= diff & full
 					if detected == full {
 						break
 					}
 				}
+				if diff == 0 && !live[fr.obs] {
+					continue // a zero error into a clear accumulator
+				}
 				step := p.rowPool[fr.step : fr.step+fr.bits]
 				tap := p.rowPool[fr.tap : fr.tap+fr.bits]
 				av := a.acc[fr.acc : fr.acc+fr.bits]
+				var nz uint64
 				for r := range av {
 					var nv uint64
 					for m := step[r]; m != 0; m &= m - 1 {
 						nv ^= av[bits.TrailingZeros32(m)]
 					}
 					for m := tap[r]; m != 0; m &= m - 1 {
-						nv ^= diff[bits.TrailingZeros32(m)]
+						nv ^= errs[bits.TrailingZeros32(m)]
 					}
 					a.obsScr[r] = nv
+					nz |= nv
 				}
 				copy(av, a.obsScr[:len(av)])
+				live[fr.obs] = nz != 0
+				continue
 			}
-			continue
+			detected |= diff & full
+			if detected == full {
+				break // every machine has detected
+			}
+			if op == opCheck {
+				continue
+			}
+			clock++ // the fused op's write half
 		}
 		data := a.data
-		copy(data, p.lanePool[in.lane:int(in.lane)+w])
+		src := in.lane
+		if op == opCheckWrite {
+			src = in.t0
+		}
+		copy(data, p.lanePool[src:int(src)+w])
 		if op == opAffine {
+			// Start from the clean write; each loud source read adds its
+			// errors through the term's GF(2) row.
 			for _, t := range p.terms[in.t0 : in.t0+in.tn] {
 				s := hpos - int(t.back)
 				if s < 0 {
 					s += slots
 				}
-				src := a.hist[s*w:]
+				if !loud[s] {
+					continue
+				}
+				errs := a.hist[s*w:]
 				for rm := t.mask; rm != 0; rm &= rm - 1 {
-					data[t.dst] ^= src[bits.TrailingZeros32(rm)]
+					data[t.dst] ^= errs[bits.TrailingZeros32(rm)]
 				}
 			}
 		}
@@ -675,12 +665,14 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 
 // runNW is the wide generic kernel (width >= 2, laneWords > 1): cell
 // blocks are laneWords*width words laid out [group][bit], and every
-// per-bit inner loop of runN gains a lane-group dimension.
+// per-bit inner loop of runN gains a lane-group dimension.  Loudness
+// is per read, not per group: a recurrence term or fold runs over all
+// groups or none.
 func (p *Program) runNW(a *Arena, det, full []uint64) {
 	W, w := p.laneWords, p.width
 	ww := W * w // words per cell block
 	slots, hpos, foldPos, obsPos := p.maxBack, 0, 0, 0
-	flags := a.flags
+	flags, loud, live := a.flags, a.loud, a.accLive
 	hasEvery := a.everyN != 0
 	track := !p.dense // dense traces restore wholesale, skip marking
 	clock := a.clock
@@ -692,6 +684,9 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 			// Compare point: no memory access, no clock tick.
 			ob := &p.observes[obsPos]
 			obsPos++
+			if !live[ob.obs] {
+				continue // clear accumulator: no machine diverges
+			}
 			accBase := int(ob.acc) * W
 			nb := int(ob.bits)
 			for g := 0; g < W; g++ {
@@ -709,107 +704,124 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 		base := cell * ww
 		clock++
 		if op <= opFold || op == opCheckWrite {
-			val := a.val[:ww]
-			copy(val, a.lanes[base:base+ww])
+			val := a.lanes[base : base+ww]
 			if flags[cell]&flagRead != 0 || hasEvery {
+				val = a.val[:ww]
+				copy(val, a.lanes[base:base+ww])
 				a.senseHooked(cell, val, clock)
 			}
-			if slots > 0 {
-				copy(a.hist[hpos*ww:hpos*ww+ww], val)
-				if hpos++; hpos == slots {
-					hpos = 0
-				}
+			if op == opRead && slots == 0 {
+				continue // no recurrence write consumes the read
 			}
-			if op == opRead {
-				continue
+			var fr *foldRec
+			check := op != opRead
+			if op == opFold {
+				fr = &p.folds[foldPos]
+				foldPos++
+				check = fr.checked
 			}
-			clean := p.lanePool[in.lane : int(in.lane)+w]
-			if op == opCheck || op == opCheckWrite {
+			clean := p.lanePool[in.lane : int(in.lane)+ww]
+			if slots == 0 && fr == nil {
+				// A checked read nothing else consumes: reduce its error
+				// per group without keeping it.
 				for g := 0; g < W; g++ {
-					gb := g * w
+					gv, gc := val[g*w:(g+1)*w], clean[g*w:(g+1)*w]
 					var diff uint64
-					for b := 0; b < w; b++ {
-						diff |= val[gb+b] ^ clean[b]
+					for b := range gv {
+						diff |= gv[b] ^ gc[b]
 					}
 					det[g] |= diff & full[g]
 				}
-				if allDetected(det, full) {
-					break // every machine has detected
+			} else {
+				// The read's error: kept in the history ring when
+				// recurrence writes follow, in scratch otherwise.
+				errs := a.diff[:ww]
+				if slots > 0 {
+					errs = a.hist[hpos*ww : hpos*ww+ww]
 				}
-				if op == opCheck {
-					continue
-				}
-				// Fused write half.
-				clock++
-				data := a.data[:ww]
-				src := p.lanePool[in.t0 : int(in.t0)+w]
-				for g := 0; g < W; g++ {
-					copy(data[g*w:(g+1)*w], src)
-				}
-				if flags[cell]&flagWrite == 0 {
-					if track {
-						a.markDirty(cell)
+				var any uint64
+				if check {
+					for g := 0; g < W; g++ {
+						lo, hi := g*w, (g+1)*w
+						gv, gc, ge := val[lo:hi], clean[lo:hi], errs[lo:hi]
+						var diff uint64
+						for b := range gv {
+							e := gv[b] ^ gc[b]
+							ge[b] = e
+							diff |= e
+						}
+						det[g] |= diff & full[g]
+						any |= diff
 					}
-					copy(a.lanes[base:base+ww], data)
 				} else {
-					a.storeHooked(cell, data, clock)
+					val, clean := val[:len(errs)], clean[:len(errs)]
+					for j := range errs {
+						e := val[j] ^ clean[j]
+						errs[j] = e
+						any |= e
+					}
 				}
+				if slots > 0 {
+					loud[hpos] = any != 0
+					if hpos++; hpos == slots {
+						hpos = 0
+					}
+				}
+				if fr != nil && (any != 0 || live[fr.obs]) {
+					// acc ← step·acc ⊕ tap·diff, per lane group.
+					step := p.rowPool[fr.step : fr.step+fr.bits]
+					tap := p.rowPool[fr.tap : fr.tap+fr.bits]
+					nb := int(fr.bits)
+					av := a.acc[int(fr.acc)*W : int(fr.acc)*W+nb*W]
+					scr := a.obsScr[:nb*W]
+					var nz uint64
+					for r := 0; r < nb; r++ {
+						for g := 0; g < W; g++ {
+							var nv uint64
+							for m := step[r]; m != 0; m &= m - 1 {
+								nv ^= av[bits.TrailingZeros32(m)*W+g]
+							}
+							for m := tap[r]; m != 0; m &= m - 1 {
+								nv ^= errs[g*w+bits.TrailingZeros32(m)]
+							}
+							scr[r*W+g] = nv
+							nz |= nv
+						}
+					}
+					copy(av, scr)
+					live[fr.obs] = nz != 0
+				}
+			}
+			if check && allDetected(det, full) {
+				break // every machine has detected
+			}
+			if op != opCheckWrite {
 				continue
 			}
-			// opFold: acc ← step·acc ⊕ tap·diff, per lane group.
-			fr := &p.folds[foldPos]
-			foldPos++
-			diff := a.diff[:ww]
-			for g := 0; g < W; g++ {
-				gb := g * w
-				var any uint64
-				for b := 0; b < w; b++ {
-					diff[gb+b] = val[gb+b] ^ clean[b]
-					any |= diff[gb+b]
-				}
-				if fr.checked {
-					det[g] |= any & full[g]
-				}
-			}
-			if fr.checked && allDetected(det, full) {
-				break
-			}
-			step := p.rowPool[fr.step : fr.step+fr.bits]
-			tap := p.rowPool[fr.tap : fr.tap+fr.bits]
-			nb := int(fr.bits)
-			av := a.acc[int(fr.acc)*W : int(fr.acc)*W+nb*W]
-			scr := a.obsScr[:nb*W]
-			for r := 0; r < nb; r++ {
-				for g := 0; g < W; g++ {
-					var nv uint64
-					for m := step[r]; m != 0; m &= m - 1 {
-						nv ^= av[bits.TrailingZeros32(m)*W+g]
-					}
-					for m := tap[r]; m != 0; m &= m - 1 {
-						nv ^= diff[g*w+bits.TrailingZeros32(m)]
-					}
-					scr[r*W+g] = nv
-				}
-			}
-			copy(av, scr)
-			continue
+			clock++ // the fused op's write half
 		}
 		data := a.data[:ww]
-		src := p.lanePool[in.lane : int(in.lane)+w]
-		for g := 0; g < W; g++ {
-			copy(data[g*w:(g+1)*w], src)
+		src := in.lane
+		if op == opCheckWrite {
+			src = in.t0
 		}
+		copy(data, p.lanePool[src:int(src)+ww])
 		if op == opAffine {
+			// Start from the clean write; each loud source read adds its
+			// errors through the term's GF(2) row.
 			for _, t := range p.terms[in.t0 : in.t0+in.tn] {
 				s := hpos - int(t.back)
 				if s < 0 {
 					s += slots
 				}
-				hb := a.hist[s*ww:]
+				if !loud[s] {
+					continue
+				}
+				errs := a.hist[s*ww:]
 				for g := 0; g < W; g++ {
 					gb := g * w
 					for rm := t.mask; rm != 0; rm &= rm - 1 {
-						data[gb+int(t.dst)] ^= hb[gb+bits.TrailingZeros32(rm)]
+						data[gb+int(t.dst)] ^= errs[gb+bits.TrailingZeros32(rm)]
 					}
 				}
 			}
